@@ -10,6 +10,7 @@ third node's erasure-indicator constraint at level d3.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class ExampleCase:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma!r} outside [0, 1]")
         if self.tag == "hb_case2":
-            if self.d3 is None or self.d3 < 0.0:
-                raise ValueError("hb_case2 needs a nonnegative d3 level")
+            if self.d3 is None or not (math.isfinite(self.d3) and self.d3 >= 0.0):
+                raise ValueError("hb_case2 needs a finite, nonnegative d3 level")
         elif self.d3 is not None:
             raise ValueError(f"case tag {self.tag!r} does not take a d3 level")
 
@@ -128,88 +129,36 @@ def hb_abstention_cost(epsilon: float, gamma: float, p1, p2, p3):
     )
 
 
-_GRID_CACHE: dict = {}
-
-
-def _hb_grid_terms(epsilon: float, gamma: float):
-    """Grid-axis slices of the abstention rate, cached for sweeps over d3."""
-    key = (epsilon, gamma)
-    if key not in _GRID_CACHE:
-        axis = np.linspace(0.0, 1.0, 101)
-        part13 = hb_rate_formula(epsilon, gamma, axis[:, None], 0.0, axis[None, :])
-        part2 = hb_rate_formula(epsilon, gamma, 0.0, axis, 0.0) - float(
-            hb_rate_formula(epsilon, gamma, 0.0, 0.0, 0.0)
-        )
-        cost13 = epsilon * axis[:, None] + (gamma - epsilon) * axis[None, :]
-        cost2 = (1.0 - gamma) * axis
-        _GRID_CACHE.clear()
-        _GRID_CACHE[key] = (axis, part13, part2, cost13, cost2)
-    return _GRID_CACHE[key]
-
-
 def hb_case2_r1(epsilon: float, gamma: float, d3: float) -> float:
     """Minimal case-2 forward rate with the third node held to distortion d3.
 
-    Minimizes hb_rate_formula over the abstention pattern by a
-    101^3-point grid followed by local refinement down to step 1e-6.  The
-    refinement scans each coordinate, every coordinate pair jointly, and
-    candidates projected onto the distortion budget boundary; the optimum
-    usually sits on that boundary, where axis-aligned moves stall.
+    The exact minimum of hb_rate_formula over the abstention patterns with
+    hb_abstention_cost <= d3.  Write a = eps*p1, b = (gamma-eps)*p3 and
+    s = a + b.  In hb_rate_formula the two p2 terms cancel, and so do the
+    (gamma-eps)*p3 terms, leaving
+
+        rate = H(eps) - s*h2(a/s),        cost = s + (1-gamma)*p2.
+
+    The rate does not depend on p2 while the cost grows with it, so p2 = 0.
+    s*h2(a/s) = -a*log2(a/s) - b*log2(b/s) is concave and increasing in
+    (a, b), so the optimum spends the whole budget, s = min(d3, gamma)
+    (a <= eps and b <= gamma-eps cap s at gamma), and for that s takes the
+    a in [s-(gamma-eps), eps] nearest to s/2, where h2(a/s) peaks.  At s = 0
+    the rate is H(eps); at s = gamma it is case2_r1.
     """
     _check_unit("epsilon", epsilon)
     _check_unit("gamma", gamma)
-    if d3 < 0.0:
-        raise ValueError(f"d3 level {d3!r} must be nonnegative")
+    if not (math.isfinite(d3) and d3 >= 0.0):
+        raise ValueError(f"d3 level {d3!r} must be finite and nonnegative")
     if gamma < epsilon:
         raise InfeasibleError(
             f"the third-node curve needs a cost budget of at least {epsilon}, got {gamma}"
         )
-    axis, part13, part2, cost13, cost2 = _hb_grid_terms(epsilon, gamma)
-    value = part13[:, None, :] + part2[None, :, None]
-    cost = cost13[:, None, :] + cost2[None, :, None]
-    masked = np.where(cost <= d3 + 1e-12, value, np.inf)
-    best_idx = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    best = np.array([axis[i] for i in best_idx])
-    best_val = float(masked[best_idx])
-
-    def scan(cands: np.ndarray, best_val: float, best: np.ndarray):
-        ok = hb_abstention_cost(epsilon, gamma, cands[:, 0], cands[:, 1], cands[:, 2]) <= d3 + 1e-12
-        if not ok.any():
-            return best_val, best, False
-        cands = cands[ok]
-        vals = hb_rate_formula(epsilon, gamma, cands[:, 0], cands[:, 1], cands[:, 2])
-        i = int(np.argmin(vals))
-        if vals[i] < best_val - 1e-15:
-            return float(vals[i]), cands[i].copy(), True
-        return best_val, best, False
-
-    weights = np.array([epsilon, 1.0 - gamma, gamma - epsilon])
-    offsets = np.arange(-10, 11, dtype=float)
-    pair_a, pair_b = (g.reshape(-1) for g in np.meshgrid(offsets, offsets, indexing="ij"))
-    for step in (1e-2, 2e-3, 4e-4, 8e-5, 1.6e-5, 3.2e-6, 1e-6):
-        for _ in range(8):
-            moved = False
-            for c in range(3):
-                cands = np.tile(best, (offsets.size, 1))
-                cands[:, c] = np.clip(best[c] + step * offsets, 0.0, 1.0)
-                best_val, best, hit = scan(cands, best_val, best)
-                moved = moved or hit
-            for ca, cb in ((0, 1), (0, 2), (1, 2)):
-                cands = np.tile(best, (pair_a.size, 1))
-                cands[:, ca] = np.clip(best[ca] + step * pair_a, 0.0, 1.0)
-                cands[:, cb] = np.clip(best[cb] + step * pair_b, 0.0, 1.0)
-                best_val, best, hit = scan(cands, best_val, best)
-                moved = moved or hit
-                cs = 3 - ca - cb
-                if weights[cs] > 1e-12:
-                    spent = cands[:, ca] * weights[ca] + cands[:, cb] * weights[cb]
-                    cands = cands.copy()
-                    cands[:, cs] = np.clip((d3 - spent) / weights[cs], 0.0, 1.0)
-                    best_val, best, hit = scan(cands, best_val, best)
-                    moved = moved or hit
-            if not moved:
-                break
-    return best_val
+    s = min(d3, gamma)
+    if s == 0.0:
+        return binary_entropy(epsilon)
+    a = min(max(s / 2.0, s - (gamma - epsilon)), epsilon)
+    return binary_entropy(epsilon) - s * binary_entropy(a / s)
 
 
 def example_rate(case: ExampleCase) -> float:

@@ -34,17 +34,6 @@ class InfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ErasureParams:
-    """Parameters of the binary-erasure example family."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"erasure probability {self.epsilon!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """A complete problem instance.
 
@@ -114,19 +103,17 @@ class ProblemSpec:
         arr.flags.writeable = False
         return arr
 
-    @property
-    def lambda_max(self) -> float:
-        return float(self.cost.max())
 
-
-def binary_erasure_spec(params: ErasureParams | float) -> ProblemSpec:
+def binary_erasure_spec(epsilon: float) -> ProblemSpec:
     """The binary-erasure example: X ~ Bernoulli(1/2), Z erases X w.p. epsilon.
 
     Action 1 reveals X through the channel at unit cost, action 0 returns the
     blank symbol for free.  d1 is Hamming on X, d2 is Hamming on Z (so a
     perfect node-2 reconstruction must reproduce erasures too).
     """
-    eps = params.epsilon if isinstance(params, ErasureParams) else ErasureParams(float(params)).epsilon
+    eps = float(epsilon)
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"erasure probability {epsilon!r} outside [0, 1]")
     x = Alphabet("x", X_SYMBOLS)
     z = Alphabet("z", Z_SYMBOLS)
     y = Alphabet("y", Y_SYMBOLS)

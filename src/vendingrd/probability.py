@@ -6,7 +6,7 @@ mutual informations come out in bits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,24 +54,6 @@ def _as_prob_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
         raise TableError(f"{what}: negative entries")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class Pmf:
-    """A distribution over a single alphabet."""
-
-    alphabet: Alphabet
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _as_prob_array(self.probs, (len(self.alphabet),), f"pmf over {self.alphabet.name!r}")
-        object.__setattr__(self, "probs", arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise TableError(f"pmf over {self.alphabet.name!r} sums to {total!r}, not 1")
-
-    def __getitem__(self, symbol: str) -> float:
-        return float(self.probs[self.alphabet.index(symbol)])
 
 
 @dataclass(frozen=True)

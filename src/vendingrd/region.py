@@ -10,6 +10,7 @@ smallest forward rate meeting distortion and cost targets.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .probability import Alphabet, JointPmf, Kernel, TableError, product_joint
 
 FEASIBILITY_TOL = 1e-7
 _SEED_FLOOR = 1e-12
-_SNAP_THRESHOLD = 1e-8
 _SNAP_THRESHOLDS = (1e-8, 1e-5, 1e-3, 2e-2)
 _INF_MASS_WEIGHT = 1e3
 
@@ -33,7 +33,6 @@ class Policy:
 
     forward: Kernel
     backward: Kernel
-    enforce_cardinality: bool = False
 
     def __post_init__(self) -> None:
         n_out = len(self.forward.outputs)
@@ -46,18 +45,6 @@ class Policy:
             raise TableError("policy backward kernel must condition on the forward (a, u) alphabets")
         if n_out == 3 and self.backward.inputs[3] != self.forward.outputs[2]:
             raise TableError("policy backward kernel must condition on the forward xhat3 alphabet")
-        if self.enforce_cardinality:
-            nz, na = len(self.z_alpha), len(self.a_alpha)
-            ny = len(self.y_alpha)
-            if len(self.u_alpha) > nz * na + 3:
-                raise TableError(
-                    f"|U| = {len(self.u_alpha)} exceeds the sufficient size {nz * na + 3}"
-                )
-            if len(self.v_alpha) > len(self.u_alpha) * ny * na + 1:
-                raise TableError(
-                    f"|V| = {len(self.v_alpha)} exceeds the sufficient size "
-                    f"{len(self.u_alpha) * ny * na + 1}"
-                )
 
     @property
     def z_alpha(self) -> Alphabet:
@@ -118,6 +105,9 @@ class Targets:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
+        levels = [self.d1, self.d2] + [v for v in (self.d3, self.gamma) if v is not None]
+        if not all(math.isfinite(v) for v in levels):
+            raise ValueError(f"targets must be finite, got {self}")
         if self.d1 < 0.0 or self.d2 < 0.0 or (self.d3 is not None and self.d3 < 0.0):
             raise ValueError("distortion targets must be nonnegative")
         if self.gamma is not None and self.gamma < 0.0:
@@ -620,15 +610,20 @@ def load_policy(path) -> Policy:
 
 # --- penalty-descent search -------------------------------------------------
 
-def _worker_count(n_tasks: int) -> int:
+def fan_out(fn, payloads: list) -> list:
+    """``[fn(p) for p in payloads]``, spread over a process pool when
+    ``VENDINGRD_THREADS`` and the core count allow more than one worker."""
     cap_raw = os.environ.get("VENDINGRD_THREADS")
-    workers = min(os.cpu_count() or 1, n_tasks)
+    workers = min(os.cpu_count() or 1, len(payloads))
     if cap_raw:
         try:
             workers = min(workers, int(cap_raw))
         except ValueError:
             raise ValueError(f"VENDINGRD_THREADS must be an integer, got {cap_raw!r}") from None
-    return max(1, workers)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, payloads))
+    return [fn(p) for p in payloads]
 
 
 def _softmax(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
@@ -660,7 +655,7 @@ def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
     return res
 
 
-def _snap_rows(table: np.ndarray, n_in_axes: int, cutoff: float = _SNAP_THRESHOLD) -> np.ndarray:
+def _snap_rows(table: np.ndarray, n_in_axes: int, cutoff: float) -> np.ndarray:
     out_axes = tuple(range(n_in_axes, table.ndim))
     snapped = np.where(table < cutoff, 0.0, table)
     sums = snapped.sum(axis=out_axes, keepdims=True)
@@ -700,80 +695,37 @@ class _Search:
         F = _softmax(self.theta_f, 1)
         return self.ctx.evaluate(F, self.current_backward())
 
-    def _improve_row(self, theta, row_sel, base, step):
-        row = theta[row_sel]
-        grad = np.empty(row.size)
-        h = 1e-4
-        flat = row.reshape(-1)
-        for c in range(flat.size):
-            old = flat[c]
-            flat[c] = old + h
-            grad[c] = (self.objective() - base) / h
-            flat[c] = old
-        direction = -(grad - grad.mean())
-        norm = np.abs(direction).max()
-        if norm < 1e-13:
-            return base, step
-        direction = (direction / norm).reshape(row.shape)
-        best_val, best_s = base, 0.0
-        s = step
-        start = row.copy()
-        tried_expand = False
-        for _ in range(24):
-            np.copyto(row, start + s * direction)
-            val = self.objective()
-            if val < best_val - 1e-15:
-                best_val, best_s = val, s
-                s *= 2.0
-                tried_expand = True
-            else:
-                if tried_expand or s <= step * 2 ** -6:
-                    break
-                s *= 0.5
-        if best_s == 0.0:
-            np.copyto(row, start)
-            return base, max(step * 0.5, 1e-4)
-        np.copyto(row, start + best_s * direction)
-        row -= row.max()
-        return best_val, best_s
+    def _improve(self, blocks, base, step):
+        """One finite-difference descent step over the rows of ``blocks``.
 
-    def _improve_joint(self, base, step):
-        """One full-gradient step over every row at once.
-
-        Row-at-a-time descent stalls in valleys that need compensating
-        moves across rows (raise one action probability, lower another,
-        keep the expected cost fixed).  A joint step slides along them.
+        Each block is a 2-D view of the logits whose rows are kernel rows.
+        The gradient is centred per row (softmax ignores a row's shift),
+        scaled by its largest entry, and followed by a doubling/halving line
+        search.  Returns the new objective and the step to try next.
         """
-        tensors = [self.theta_f]
-        if not self.skip_backward:
-            tensors.append(self.theta_b)
         h = 1e-4
         dirs = []
-        for t in tensors:
-            flat = t.reshape(-1)
+        for block in blocks:
+            flat = block.reshape(-1)
             g = np.empty(flat.size)
             for c in range(flat.size):
                 old = flat[c]
                 flat[c] = old + h
                 g[c] = (self.objective() - base) / h
                 flat[c] = old
-            if t is self.theta_f:
-                rows = g.reshape(t.shape[0], -1)
-            else:
-                rows = g.reshape(-1, t.shape[-1])
-            rows = rows - rows.mean(axis=1, keepdims=True)
-            dirs.append(-rows.reshape(t.shape))
+            g = g.reshape(block.shape)
+            dirs.append(-(g - g.mean(axis=1, keepdims=True)))
         norm = max(np.abs(d).max() for d in dirs)
         if norm < 1e-13:
             return base, step
         dirs = [d / norm for d in dirs]
-        starts = [t.copy() for t in tensors]
+        starts = [block.copy() for block in blocks]
         best_val, best_s = base, 0.0
         s = step
         tried_expand = False
         for _ in range(24):
-            for t, st, d in zip(tensors, starts, dirs):
-                np.copyto(t, st + s * d)
+            for block, st, d in zip(blocks, starts, dirs):
+                np.copyto(block, st + s * d)
             val = self.objective()
             if val < best_val - 1e-15:
                 best_val, best_s = val, s
@@ -784,38 +736,39 @@ class _Search:
                     break
                 s *= 0.5
         if best_s == 0.0:
-            for t, st in zip(tensors, starts):
-                np.copyto(t, st)
+            for block, st in zip(blocks, starts):
+                np.copyto(block, st)
             return base, max(step * 0.5, 1e-4)
-        for t, st, d in zip(tensors, starts, dirs):
-            np.copyto(t, st + best_s * d)
-        self.theta_f -= self.theta_f.max(axis=tuple(range(1, self.theta_f.ndim)), keepdims=True)
-        self.theta_b -= self.theta_b.max(axis=self.theta_b.ndim - 1, keepdims=True)
+        for block, st, d in zip(blocks, starts, dirs):
+            np.copyto(block, st + best_s * d)
+            block -= block.max(axis=1, keepdims=True)
         return best_val, best_s
 
     def run(self, schedule: tuple[float, ...] | None = None) -> None:
         if schedule is None:
             schedule = self.config.penalty_schedule
+        # views (the logits are contiguous), so _improve writes through them
+        f_rows = self.theta_f.reshape(self.theta_f.shape[0], -1)
+        b_rows = self.theta_b.reshape(-1, self.theta_b.shape[-1])
+        searched = [f_rows] if self.skip_backward else [f_rows, b_rows]
         for weight in schedule:
             self.weight = weight
             base = self.objective()
             for _ in range(self.config.max_iters):
                 before = base
-                for r in range(self.theta_f.shape[0]):
-                    base, self.f_steps[r] = self._improve_row(
-                        self.theta_f, (r,), base, self.f_steps[r]
-                    )
+                for r in range(f_rows.shape[0]):
+                    base, self.f_steps[r] = self._improve([f_rows[r : r + 1]], base, self.f_steps[r])
                 if not self.skip_backward:
-                    flat_b = self.theta_b.reshape(-1, self.theta_b.shape[-1])
-                    for r in range(flat_b.shape[0]):
-                        base, self.b_steps[r] = self._improve_row(
-                            flat_b, (r,), base, self.b_steps[r]
-                        )
+                    for r in range(b_rows.shape[0]):
+                        base, self.b_steps[r] = self._improve([b_rows[r : r + 1]], base, self.b_steps[r])
                 if before - base < self.config.step_tolerance:
                     break
+            # Row-at-a-time descent stalls in valleys that need compensating
+            # moves across rows (raise one action probability, lower another,
+            # keep the expected cost fixed).  A joint step slides along them.
             for _ in range(self.config.max_iters):
                 before = base
-                base, self.joint_step = self._improve_joint(base, self.joint_step)
+                base, self.joint_step = self._improve(searched, base, self.joint_step)
                 if before - base < self.config.step_tolerance:
                     break
 
@@ -824,8 +777,7 @@ def _run_restart(payload):
     ctx, targets, config, restart_idx, seed_arrays, skip_backward = payload
     spec = ctx.spec
     rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, restart_idx)))
-    nu = _nu_from_ctx(ctx, config)
-    nv = _nv_from_ctx(ctx, config)
+    nu, nv = _search_sizes(spec, config)
     if seed_arrays is not None:
         F0, B0 = seed_arrays
         nu = F0.shape[2]
@@ -903,16 +855,11 @@ def _judge_snapped(ctx, targets, search: "_Search"):
     return best
 
 
-def _nu_from_ctx(ctx, config):
+def _search_sizes(spec, config) -> tuple[int, int]:
+    """(|U|, |V|) of the search: the config's override, else the defaults."""
     if config.cardinality_override is not None:
-        return config.cardinality_override[0]
-    return default_cardinalities(ctx.spec)[0]
-
-
-def _nv_from_ctx(ctx, config):
-    if config.cardinality_override is not None:
-        return config.cardinality_override[1]
-    return default_cardinalities(ctx.spec)[1]
+        return tuple(config.cardinality_override)
+    return default_cardinalities(spec)
 
 
 def _judge(ctx, targets, F, B):
@@ -977,8 +924,7 @@ def minimize_r1(
     if targets.gamma is None:
         raise ValueError("minimize_r1 needs a cost budget in targets.gamma")
     ctx = _EvalContext(spec)
-    nu = _nu_from_ctx(ctx, config)
-    nv = _nv_from_ctx(ctx, config)
+    nu, nv = _search_sizes(spec, config)
     skip_backward = (
         not ctx.hb
         and _slack_distortion_bound(spec, spec.d1) <= targets.d1 + FEASIBILITY_TOL
@@ -988,12 +934,7 @@ def minimize_r1(
         (ctx, targets, config, i, seed_arrays[i] if i < len(seed_arrays) else None, skip_backward)
         for i in range(config.restarts)
     ]
-    workers = _worker_count(len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_restart, payloads))
-    else:
-        outcomes = [_run_restart(p) for p in payloads]
+    outcomes = fan_out(_run_restart, payloads)
     outcomes.sort(key=lambda pair: pair[0])
     best = None
     for _, cand in outcomes:

@@ -10,14 +10,13 @@ block grows, while staying on the achievable side at every finite length.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .closed_form import case1_r1, case2_ts_r1, case3_r1
-from .region import _worker_count
+from .region import fan_out
 
 SCHEMES = ("case1", "case2_ts", "case3")
 
@@ -173,13 +172,7 @@ def run_scheme(config: SimConfig) -> SimResult:
     Trial t draws from a counter-based stream keyed by (rng_seed, t), so the
     result is reproducible and independent of how trials are scheduled.
     """
-    payloads = [(config, t) for t in range(config.trials)]
-    workers = _worker_count(len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, payloads))
-    else:
-        records = [_run_trial(p) for p in payloads]
+    records = fan_out(_run_trial, [(config, t) for t in range(config.trials)])
     fw, bw, act, era, d1e, d2e = (tuple(r[i] for r in records) for i in range(6))
     denom = float(config.trials * config.n)
     return SimResult(

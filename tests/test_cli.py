@@ -72,10 +72,22 @@ def test_closed_form_fig6_curves_flatten(capsys):
     assert all(r == pytest.approx(flat, abs=1e-6) for r in rates)
 
 
-def test_closed_form_flag_validation():
+def test_closed_form_flag_validation(capsys):
     assert main(["closed-form", "--case", "case1", "--epsilon", "1.5"]) == 2
     assert main(["closed-form", "--case", "hb_case2", "--epsilon", "0.2"]) == 2
     assert main(["closed-form", "--case", "case2", "--epsilon", "0.2", "--d3", "0.4"]) == 2
+    for bad in ("nan", "inf"):
+        argv = ["closed-form", "--case", "hb_case2", "--epsilon", "0.2", "--gamma", "0.3", "0.6"]
+        assert main(argv + ["--d3", bad]) == 2
+        assert main(["closed-form", "--preset", "fig6", "--gamma", "0.6", "--d3", bad]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_rejects_non_finite_targets(spec_path, capsys):
+    for flag in ("--d1", "--d2", "--d3"):
+        argv = ["sweep", "--spec", str(spec_path), "--d1", "0", "--d2", "1", "--gammas", "0.6"]
+        assert main(argv + [flag, "nan"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_evaluate_reports_reference_point(spec_path, tmp_path, capsys):

@@ -137,11 +137,41 @@ def test_third_node_curve_at_unit_distortion_is_case2():
         assert hb_case2_r1(0.2, g, 1.0) == pytest.approx(case2_r1(0.2, g), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "epsilon,gamma,d3",
+    [(0.2, 0.6, 0.0), (0.2, 0.6, 0.1), (0.2, 0.6, 0.3), (0.2, 0.6, 0.5),
+     (0.2, 0.4, 0.25), (0.5, 0.9, 0.3), (0.1, 0.3, 0.05), (0.3, 0.5, 0.45)],
+)
+def test_third_node_curve_matches_brute_force_oracle(epsilon, gamma, d3):
+    step = 1.0 / 40
+    axis = np.linspace(0.0, 1.0, 41)
+    p1, p2, p3 = np.meshgrid(axis, axis, axis, indexing="ij")
+    rate = hb_rate_formula(epsilon, gamma, p1, p2, p3)
+    cost = hb_abstention_cost(epsilon, gamma, p1, p2, p3)
+    grid_min = float(rate[cost <= d3 + 1e-12].min())
+    # The rate falls in p1 and in p3, so rounding an optimal pattern down to
+    # the grid stays within budget and raises the rate by at most one
+    # cell's change along each of those two axes.
+    step_error = np.abs(np.diff(rate, axis=0)).max() + np.abs(np.diff(rate, axis=2)).max()
+    exact = hb_case2_r1(epsilon, gamma, d3)
+    assert exact <= grid_min + 1e-12
+    assert grid_min - exact <= step_error
+    assert step_error < 10 * step
+    assert exact > case2_r1(epsilon, gamma) + 1e-6
+
+
 def test_third_node_curve_needs_d3():
     with pytest.raises(ValueError):
         ExampleCase("hb_case2", 0.2, 0.6)
     with pytest.raises(InfeasibleError):
         hb_case2_r1(0.2, 0.1, 0.4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ExampleCase("hb_case2", 0.2, 0.6, d3=bad)
+        with pytest.raises(ValueError):
+            hb_case2_r1(0.2, 0.6, bad)
+        with pytest.raises(ValueError):
+            hb_case2_r1(0.2, bad, 0.4)
 
 
 def test_reference_policy_case1_action_probability():

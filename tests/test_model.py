@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vendingrd.model import (
-    ErasureParams,
     ProblemSpec,
     SpecFormatError,
     binary_erasure_spec,
@@ -18,20 +17,19 @@ from vendingrd.probability import entropy
 
 
 def test_erasure_source_marginals():
-    spec = binary_erasure_spec(ErasureParams(0.2))
+    spec = binary_erasure_spec(0.2)
     pz = spec.source.table.sum(axis=0)
     assert pz == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
     px = spec.source.table.sum(axis=1)
     assert px == pytest.approx([0.5, 0.5], abs=1e-15)
     assert entropy(spec.source, ["z"]) == pytest.approx(1.5219280948873623, abs=1e-12)
-    assert spec.lambda_max == 1.0
 
 
 def test_erasure_params_domain():
     with pytest.raises(ValueError):
-        ErasureParams(-0.01)
+        binary_erasure_spec(-0.01)
     with pytest.raises(ValueError):
-        ErasureParams(1.2)
+        binary_erasure_spec(1.2)
 
 
 def test_vending_machine_reveals_x_only_under_action_one():

@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vendingrd.closed_form import ExampleCase, appendixB_policy, case2_r1, example_rate
-from vendingrd.model import binary_erasure_spec
+from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
 from vendingrd.region import (
     OptimizerConfig,
     Targets,
@@ -48,6 +51,34 @@ def test_search_is_deterministic():
     assert first.point.gamma == second.point.gamma
     assert np.array_equal(first.policy.forward.table, second.policy.forward.table)
     assert np.array_equal(first.policy.backward.table, second.policy.backward.table)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_output_is_pinned(monkeypatch, threads):
+    """The search returns the recorded policies whatever the worker count."""
+    pinned = json.loads((Path(__file__).parent / "data" / "search_pinned.json").read_text())
+    monkeypatch.setenv("VENDINGRD_THREADS", threads)
+    spec = binary_erasure_spec(EPS)
+    case2 = Targets(d1=0.0, d2=0.4, gamma=0.6)
+    # |V| = 2 < |Y| leaves the backward kernel to the search; |V| = 3 relays Y
+    points = {
+        "case2": (spec, case2, (3, 3)),
+        "case2_searched_backward": (spec, case2, (3, 2)),
+        "third_node": (
+            with_node3_erasure_metric(spec),
+            Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6),
+            (3, 3),
+        ),
+    }
+    for name, (point_spec, targets, sizes) in points.items():
+        want = pinned[name]
+        config = OptimizerConfig(restarts=2, max_iters=4, hops=1, cardinality_override=sizes)
+        got = minimize_r1(point_spec, targets, config)
+        assert got.feasible == want["feasible"], name
+        assert got.point.r1 == pytest.approx(want["r1"], abs=1e-12), name
+        assert got.point.r2 == pytest.approx(want["r2"], abs=1e-12), name
+        np.testing.assert_allclose(got.policy.forward.table, want["forward"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.policy.backward.table, want["backward"], rtol=0, atol=1e-12)
 
 
 def test_unreachable_target_reported_infeasible():

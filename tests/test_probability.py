@@ -5,7 +5,6 @@ from vendingrd.probability import (
     Alphabet,
     JointPmf,
     Kernel,
-    Pmf,
     TableError,
     binary_entropy,
     check_markov,
@@ -49,16 +48,6 @@ def test_alphabet_validation():
     assert B.index("1") == 1
     with pytest.raises(TableError):
         B.index("2")
-
-
-def test_pmf_validation():
-    Pmf(B, [0.25, 0.75])
-    with pytest.raises(TableError):
-        Pmf(B, [0.3, 0.6])
-    with pytest.raises(TableError):
-        Pmf(B, [-0.1, 1.1])
-    with pytest.raises(TableError):
-        Pmf(B, [np.nan, 1.0])
 
 
 def test_kernel_row_stochastic():

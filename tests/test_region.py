@@ -68,17 +68,6 @@ def test_policy_shape_validation():
         Policy(Kernel((z, a), (u,), np.ones((3, 2, 1)) / 1.0), good_b)
 
 
-def test_policy_cardinality_flag():
-    spec = _spec()
-    rng = np.random.default_rng(0)
-    nu_max = 3 * 2 + 3
-    policy = random_policy(spec, nu_max, 4, rng)
-    Policy(policy.forward, policy.backward, enforce_cardinality=True)
-    big = random_policy(spec, nu_max + 1, 4, rng)
-    with pytest.raises(TableError):
-        Policy(big.forward, big.backward, enforce_cardinality=True)
-
-
 def test_default_cardinalities():
     spec = _spec()
     nu, nv = default_cardinalities(spec)
@@ -269,6 +258,13 @@ def test_targets_validation():
         Targets(d1=-0.1, d2=0.0)
     with pytest.raises(ValueError):
         Targets(d1=0.0, d2=0.0, gamma=-0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Targets(d1=bad, d2=0.0)
+        with pytest.raises(ValueError):
+            Targets(d1=0.0, d2=0.0, d3=bad, gamma=0.5)
+        with pytest.raises(ValueError):
+            Targets(d1=0.0, d2=0.0, gamma=bad)
     Targets(d1=0.0, d2=0.0, d3=0.2, gamma=0.5)
 
 
