@@ -4,8 +4,12 @@ A policy is a pair of conditional kernels: the forward side picks the action
 and the index sent ahead of the channel use, p(a, u | z) (plus the third
 node's reconstruction in heegard-berger mode), and the backward side picks
 the reply index, p(v | a, u, y[, xhat3]).  ``evaluate_point`` turns a policy
-into the rate pair it earns together with the Bayes-optimal distortions and
-the expected action cost.  ``minimize_r1`` searches policy space for the
+into the rate pair it earns, the expected action cost and the distortions:
+node 1 decodes from (Z, V) and node 2 from (U, Y), each with the Bayes-optimal
+deterministic decoder, and d3 is the expected third-node metric of the
+reconstruction W = Xhat3 that the forward kernel draws.  One evaluator serves
+all three modes: a spec without a third node is evaluated as the third-node
+case with a one-letter W.  ``minimize_r1`` searches policy space for the
 smallest forward rate meeting distortion and cost targets.
 """
 from __future__ import annotations
@@ -176,23 +180,21 @@ def random_policy(spec: ProblemSpec, nu: int, nv: int, rng: np.random.Generator)
     return _policy_from_arrays(spec, f_table, b_table)
 
 
-def _forward_shape(spec: ProblemSpec, nu: int) -> tuple[int, ...]:
-    shape = (len(spec.z_alpha), len(spec.a_alpha), nu)
-    if spec.mode == "heegard-berger":
-        shape += (len(spec.xhat3_alpha),)
-    return shape
+def _kernel_alphabets(spec: ProblemSpec, nu: int, nv: int) -> tuple[tuple, tuple]:
+    """The forward kernel's outputs (a, u[, xhat3]) and the backward kernel's
+    axes (a, u, y[, xhat3], v) for the spec at index sizes (nu, nv)."""
+    w = (spec.xhat3_alpha,) if spec.mode == "heegard-berger" else ()
+    u = aux_alphabet("u", nu)
+    return (spec.a_alpha, u) + w, (spec.a_alpha, u, spec.y_alpha) + w + (aux_alphabet("v", nv),)
 
 
-def _backward_shape(spec: ProblemSpec, nu: int, nv: int) -> tuple[int, ...]:
-    shape = (len(spec.a_alpha), nu, len(spec.y_alpha))
-    if spec.mode == "heegard-berger":
-        shape += (len(spec.xhat3_alpha),)
-    return shape + (nv,)
+def _kernel_shapes(spec: ProblemSpec, nu: int, nv: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    fwd, back = _kernel_alphabets(spec, nu, nv)
+    return (len(spec.z_alpha),) + tuple(map(len, fwd)), tuple(map(len, back))
 
 
 def _random_arrays(spec, nu, nv, rng):
-    f_shape = _forward_shape(spec, nu)
-    b_shape = _backward_shape(spec, nu, nv)
+    f_shape, b_shape = _kernel_shapes(spec, nu, nv)
     f_cols = int(np.prod(f_shape[1:]))
     b_rows = int(np.prod(b_shape[:-1]))
     f_table = rng.dirichlet(np.ones(f_cols), size=f_shape[0]).reshape(f_shape)
@@ -208,7 +210,7 @@ def _skeleton_forward(spec, nu, rng):
     lets the smooth action parameters settle by descent instead of
     hoping a fully random table falls into the right corner pattern.
     """
-    shape = _forward_shape(spec, nu)
+    shape = _kernel_shapes(spec, nu, 1)[0]
     nz, na = shape[0], shape[1]
     table = np.full(shape, 1e-6)
     actions = rng.dirichlet(np.ones(na), size=nz)
@@ -226,7 +228,7 @@ def _identity_backward(spec, nu, nv):
     Only valid when nv is at least the size of the Y alphabet.
     """
     ny = len(spec.y_alpha.symbols)
-    shape = _backward_shape(spec, nu, nv)
+    shape = _kernel_shapes(spec, nu, nv)[1]
     eye = np.zeros((ny, nv))
     eye[np.arange(ny), np.arange(ny)] = 1.0
     expand = (1, 1, ny) + (1,) * (len(shape) - 4) + (nv,)
@@ -234,18 +236,10 @@ def _identity_backward(spec, nu, nv):
 
 
 def _policy_from_arrays(spec: ProblemSpec, f_table, b_table) -> Policy:
-    nu = f_table.shape[2]
-    nv = b_table.shape[-1]
-    u = aux_alphabet("u", nu)
-    v = aux_alphabet("v", nv)
-    fwd_outs = (spec.a_alpha, u)
-    back_ins = (spec.a_alpha, u, spec.y_alpha)
-    if spec.mode == "heegard-berger":
-        fwd_outs += (spec.xhat3_alpha,)
-        back_ins += (spec.xhat3_alpha,)
+    fwd, back = _kernel_alphabets(spec, f_table.shape[2], b_table.shape[-1])
     return Policy(
-        forward=Kernel((spec.z_alpha,), fwd_outs, f_table),
-        backward=Kernel(back_ins, (v,), b_table),
+        forward=Kernel((spec.z_alpha,), fwd, f_table),
+        backward=Kernel(back[:-1], back[-1:], b_table),
     )
 
 
@@ -356,7 +350,14 @@ def _entropy_of(p: np.ndarray) -> float:
 
 
 class _EvalContext:
-    """Precompiled tables for fast repeated policy evaluation on one spec."""
+    """Precompiled tables for fast repeated policy evaluation on one spec.
+
+    ``evaluate`` returns r1 = I(Z; A, W) + I(Z; U | A, W, Y), r2 =
+    I(Y; V | Z, A, U, W), the expected cost, the Bayes distortions of node 1
+    from (Z, V) and node 2 from (U, Y), and, with a third node, d3 averaged
+    over W.  Each distortion comes with the mass that lands on forbidden
+    (+inf) cells.  Without a third node W has one letter.
+    """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -385,63 +386,26 @@ class _EvalContext:
             c_inf = None
         return c_fin, c_inf
 
-    def evaluate(self, f_table: np.ndarray, b_table: np.ndarray) -> dict:
-        if self.hb:
-            return self._evaluate_hb(f_table, b_table)
-        F, B = f_table, b_table
-        pzau = self.pz[:, None, None] * F
-        pza = pzau.sum(axis=2)
-        gamma = float((pza.sum(axis=0) * self.cost).sum())
-        pzauy = np.einsum("axzy,zau->zauy", self.SV, F)
-        pzay = pzauy.sum(axis=2)
-        pay = pzay.sum(axis=0)
-        r1 = (
-            self.hz
-            + _entropy_of(pza.sum(axis=0))
-            - _entropy_of(pza)
-            + _entropy_of(pzay)
-            + _entropy_of(pzauy.sum(axis=0))
-            - _entropy_of(pzauy)
-            - _entropy_of(pay)
-        )
-        pzauyv = np.einsum("zauy,auyv->zauyv", pzauy, B)
-        r2 = (
-            _entropy_of(pzauy)
-            + _entropy_of(pzauyv.sum(axis=3))
-            - _entropy_of(pzauyv)
-            - _entropy_of(pzau)
-        )
-        fb = np.einsum("zau,auyv->zayv", F, B)
-        d1_fin, d1_inf = self._decode(np.einsum("zayv,azyk->vzk", fb, self.c1_fin), fb, self.c1_inf, "zayv,azyk->vzk")
-        d2_fin, d2_inf = self._decode(np.einsum("zau,azyk->uyk", F, self.c2_fin), F, self.c2_inf, "zau,azyk->uyk")
-        return {
-            "r1": max(r1, 0.0),
-            "r2": max(r2, 0.0),
-            "gamma": gamma,
-            "d1": d1_fin,
-            "d1_inf_mass": d1_inf,
-            "d2": d2_fin,
-            "d2_inf_mass": d2_inf,
-        }
-
-    def _evaluate_hb(self, F: np.ndarray, B: np.ndarray) -> dict:
+    def evaluate(self, F: np.ndarray, B: np.ndarray) -> dict:
+        if not self.hb:
+            # the two-node region is the third-node one with a one-letter W
+            F, B = F[..., None], B[..., None, :]
         pzauw = self.pz[:, None, None, None] * F
         pzaw = pzauw.sum(axis=2)
         pza = pzaw.sum(axis=2)
-        pa = pza.sum(axis=0)
-        gamma = float((pa * self.cost).sum())
+        gamma = float((pza.sum(axis=0) * self.cost).sum())
         pzauwy = np.einsum("axzy,zauw->zauwy", self.SV, F)
         pzawy = pzauwy.sum(axis=2)
-        h_pza = _entropy_of(pza)
-        i_za = self.hz + _entropy_of(pa) - h_pza
-        i_zw_a = h_pza + _entropy_of(pzaw.sum(axis=0)) - _entropy_of(pzaw) - _entropy_of(pa)
-        i_zu_ayw = (
-            _entropy_of(pzawy)
+        # I(Z; A, W) + I(Z; U | A, W, Y)
+        r1 = (
+            self.hz
+            + _entropy_of(pzaw.sum(axis=0))
+            - _entropy_of(pzaw)
+            + _entropy_of(pzawy)
             + _entropy_of(pzauwy.sum(axis=0))
             - _entropy_of(pzauwy)
             - _entropy_of(pzawy.sum(axis=0))
         )
-        r1 = i_za + i_zw_a + i_zu_ayw
         pzauwyv = np.einsum("zauwy,auywv->zauwyv", pzauwy, B)
         r2 = (
             _entropy_of(pzauwy)
@@ -453,10 +417,7 @@ class _EvalContext:
         d1_fin, d1_inf = self._decode(np.einsum("zayv,azyk->vzk", fb, self.c1_fin), fb, self.c1_inf, "zayv,azyk->vzk")
         Fu = F.sum(axis=3)
         d2_fin, d2_inf = self._decode(np.einsum("zau,azyk->uyk", Fu, self.c2_fin), Fu, self.c2_inf, "zau,azyk->uyk")
-        Fw = F.sum(axis=2)
-        d3_fin = float(np.einsum("zaw,azw->", Fw, self.c3_fin))
-        d3_inf = float(np.einsum("zaw,azw->", Fw, self.c3_inf))
-        return {
+        m = {
             "r1": max(r1, 0.0),
             "r2": max(r2, 0.0),
             "gamma": gamma,
@@ -464,9 +425,12 @@ class _EvalContext:
             "d1_inf_mass": d1_inf,
             "d2": d2_fin,
             "d2_inf_mass": d2_inf,
-            "d3": d3_fin,
-            "d3_inf_mass": d3_inf,
         }
+        if self.hb:
+            Fw = F.sum(axis=2)
+            m["d3"] = float(np.einsum("zaw,azw->", Fw, self.c3_fin))
+            m["d3_inf_mass"] = float(np.einsum("zaw,azw->", Fw, self.c3_inf))
+        return m
 
     @staticmethod
     def _decode(w_fin, left, c_inf, subscript) -> tuple[float, float]:
@@ -482,21 +446,26 @@ class _EvalContext:
         return float(mins[~bad].sum()), inf_mass
 
 
-def _point_from_metrics(m: dict, hb: bool) -> OperatingPoint:
+def _point_from_metrics(m: dict) -> OperatingPoint:
     d1 = np.inf if m["d1_inf_mass"] > 0.0 else m["d1"]
     d2 = np.inf if m["d2_inf_mass"] > 0.0 else m["d2"]
     d3 = None
-    if hb:
+    if "d3" in m:
         d3 = np.inf if m["d3_inf_mass"] > 0.0 else m["d3"]
     return OperatingPoint(r1=m["r1"], r2=m["r2"], d1=d1, d2=d2, gamma=m["gamma"], d3=d3)
 
 
 def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
-    """Rates, Bayes-decoded distortions, and action cost of one policy."""
+    """Rates, distortions, and action cost of one policy.
+
+    d1 is the Bayes distortion of node 1 decoding from (Z, V), d2 that of
+    node 2 decoding from (U, Y), and d3 (third-node mode only) the expected
+    metric of the forward kernel's reconstruction W.
+    """
     _check_compatible(spec, policy)
     ctx = _EvalContext(spec)
     metrics = ctx.evaluate(policy.forward.table, policy.backward.table)
-    return _point_from_metrics(metrics, ctx.hb)
+    return _point_from_metrics(metrics)
 
 
 # --- policy serialization ---------------------------------------------------
@@ -633,13 +602,13 @@ def _softmax(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
     return expd / expd.sum(axis=out_axes, keepdims=True)
 
 
-def _violations(m: dict, targets: Targets, hb: bool) -> dict:
+def _violations(m: dict, targets: Targets) -> dict:
     res = {
         "d1": max(0.0, m["d1"] - targets.d1) + _INF_MASS_WEIGHT * m["d1_inf_mass"],
         "d2": max(0.0, m["d2"] - targets.d2) + _INF_MASS_WEIGHT * m["d2_inf_mass"],
         "gamma": max(0.0, m["gamma"] - targets.gamma),
     }
-    if hb and targets.d3 is not None:
+    if "d3" in m and targets.d3 is not None:
         res["d3"] = max(0.0, m["d3"] - targets.d3) + _INF_MASS_WEIGHT * m["d3_inf_mass"]
     return res
 
@@ -683,7 +652,7 @@ class _Search:
 
     def objective(self) -> float:
         m = self.metrics()
-        viol = _violations(m, self.targets, self.ctx.hb)
+        viol = _violations(m, self.targets)
         return m["r1"] + self.weight * sum(v * v for v in viol.values())
 
     def current_backward(self) -> np.ndarray:
@@ -695,37 +664,34 @@ class _Search:
         F = _softmax(self.theta_f, 1)
         return self.ctx.evaluate(F, self.current_backward())
 
-    def _improve(self, blocks, base, step):
-        """One finite-difference descent step over the rows of ``blocks``.
+    def _improve(self, block, base, step):
+        """One finite-difference descent step over the rows of ``block``.
 
-        Each block is a 2-D view of the logits whose rows are kernel rows.
+        The block is a 2-D view of the logits whose rows are kernel rows.
         The gradient is centred per row (softmax ignores a row's shift),
         scaled by its largest entry, and followed by a doubling/halving line
         search.  Returns the new objective and the step to try next.
         """
         h = 1e-4
-        dirs = []
-        for block in blocks:
-            flat = block.reshape(-1)
-            g = np.empty(flat.size)
-            for c in range(flat.size):
-                old = flat[c]
-                flat[c] = old + h
-                g[c] = (self.objective() - base) / h
-                flat[c] = old
-            g = g.reshape(block.shape)
-            dirs.append(-(g - g.mean(axis=1, keepdims=True)))
-        norm = max(np.abs(d).max() for d in dirs)
+        flat = block.reshape(-1)
+        g = np.empty(flat.size)
+        for c in range(flat.size):
+            old = flat[c]
+            flat[c] = old + h
+            g[c] = (self.objective() - base) / h
+            flat[c] = old
+        g = g.reshape(block.shape)
+        d = -(g - g.mean(axis=1, keepdims=True))
+        norm = np.abs(d).max()
         if norm < 1e-13:
             return base, step
-        dirs = [d / norm for d in dirs]
-        starts = [block.copy() for block in blocks]
+        d = d / norm
+        start = block.copy()
         best_val, best_s = base, 0.0
         s = step
         tried_expand = False
         for _ in range(24):
-            for block, st, d in zip(blocks, starts, dirs):
-                np.copyto(block, st + s * d)
+            np.copyto(block, start + s * d)
             val = self.objective()
             if val < best_val - 1e-15:
                 best_val, best_s = val, s
@@ -736,12 +702,10 @@ class _Search:
                     break
                 s *= 0.5
         if best_s == 0.0:
-            for block, st in zip(blocks, starts):
-                np.copyto(block, st)
+            np.copyto(block, start)
             return base, max(step * 0.5, 1e-4)
-        for block, st, d in zip(blocks, starts, dirs):
-            np.copyto(block, st + best_s * d)
-            block -= block.max(axis=1, keepdims=True)
+        np.copyto(block, start + best_s * d)
+        block -= block.max(axis=1, keepdims=True)
         return best_val, best_s
 
     def run(self, schedule: tuple[float, ...] | None = None) -> None:
@@ -750,25 +714,25 @@ class _Search:
         # views (the logits are contiguous), so _improve writes through them
         f_rows = self.theta_f.reshape(self.theta_f.shape[0], -1)
         b_rows = self.theta_b.reshape(-1, self.theta_b.shape[-1])
-        searched = [f_rows] if self.skip_backward else [f_rows, b_rows]
         for weight in schedule:
             self.weight = weight
             base = self.objective()
             for _ in range(self.config.max_iters):
                 before = base
                 for r in range(f_rows.shape[0]):
-                    base, self.f_steps[r] = self._improve([f_rows[r : r + 1]], base, self.f_steps[r])
+                    base, self.f_steps[r] = self._improve(f_rows[r : r + 1], base, self.f_steps[r])
                 if not self.skip_backward:
                     for r in range(b_rows.shape[0]):
-                        base, self.b_steps[r] = self._improve([b_rows[r : r + 1]], base, self.b_steps[r])
+                        base, self.b_steps[r] = self._improve(b_rows[r : r + 1], base, self.b_steps[r])
                 if before - base < self.config.step_tolerance:
                     break
             # Row-at-a-time descent stalls in valleys that need compensating
-            # moves across rows (raise one action probability, lower another,
-            # keep the expected cost fixed).  A joint step slides along them.
+            # moves across forward rows (raise one action probability, lower
+            # another, keep the expected cost fixed).  A joint step slides
+            # along them.
             for _ in range(self.config.max_iters):
                 before = base
-                base, self.joint_step = self._improve(searched, base, self.joint_step)
+                base, self.joint_step = self._improve(f_rows, base, self.joint_step)
                 if before - base < self.config.step_tolerance:
                     break
 
@@ -864,7 +828,7 @@ def _search_sizes(spec, config) -> tuple[int, int]:
 
 def _judge(ctx, targets, F, B):
     m = ctx.evaluate(F, B)
-    point = _point_from_metrics(m, ctx.hb)
+    point = _point_from_metrics(m)
     residuals = _true_residuals(point, targets)
     worst = max(residuals.values())
     return {
@@ -919,10 +883,13 @@ def minimize_r1(
     given (rng_seed, restart index) and the best feasible result wins, with
     ties broken by restart index.  When no restart lands within the
     feasibility tolerance the result carries ``feasible=False`` and the
-    smallest constraint residual seen.
+    smallest constraint residual seen.  A d3 target on a spec without a
+    third node raises ``ValueError``.
     """
     if targets.gamma is None:
         raise ValueError("minimize_r1 needs a cost budget in targets.gamma")
+    if targets.d3 is not None and spec.mode != "heegard-berger":
+        raise ValueError(f"a d3 target needs a third node, but the spec mode is {spec.mode!r}")
     ctx = _EvalContext(spec)
     nu, nv = _search_sizes(spec, config)
     skip_backward = (
@@ -958,8 +925,7 @@ def _embed_seed(spec: ProblemSpec, seed: Policy, nu: int, nv: int):
         raise ValueError(
             f"seed policy has |U|={nu0}, |V|={nv0}, larger than the search sizes ({nu}, {nv})"
         )
-    f_shape = _forward_shape(spec, nu)
-    b_shape = _backward_shape(spec, nu, nv)
+    f_shape, b_shape = _kernel_shapes(spec, nu, nv)
     F = np.zeros(f_shape)
     B = np.zeros(b_shape)
     F[:, :, :nu0] = f0

@@ -90,6 +90,17 @@ def test_sweep_rejects_non_finite_targets(spec_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_sweep_rejects_d3_target_without_third_node(spec_path, capsys):
+    argv = [
+        "sweep", "--spec", str(spec_path), "--d1", "0", "--d2", "1", "--d3", "0.3",
+        "--gammas", "0.6", "--restarts", "1", "--max-iters", "1", "--hops", "0",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "third node" in captured.err
+
+
 def test_evaluate_reports_reference_point(spec_path, tmp_path, capsys):
     policy = _policy_path(tmp_path, "case1", 0.4)
     assert main(["evaluate", "--spec", str(spec_path), "--policy", str(policy)]) == 0

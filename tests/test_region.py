@@ -10,8 +10,17 @@ from vendingrd.closed_form import (
     hb_abstention_cost,
     hb_rate_formula,
 )
-from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
-from vendingrd.probability import Alphabet, Kernel, TableError, check_markov, condition
+from vendingrd.model import ProblemSpec, binary_erasure_spec, with_node3_erasure_metric
+from vendingrd.probability import (
+    Alphabet,
+    JointPmf,
+    Kernel,
+    TableError,
+    check_markov,
+    condition,
+    conditional_mutual_information,
+    expectation,
+)
 from vendingrd.region import (
     Policy,
     OperatingPoint,
@@ -317,3 +326,107 @@ def test_conditioned_joint_recovers_vending_row():
     y_axis = given.axis("y")
     py = given.table.sum(axis=tuple(i for i in range(given.table.ndim) if i != y_axis))
     assert py[given.alphabet("y").index("1")] == pytest.approx(1.0, abs=1e-12)
+
+
+def _random_spec(mode, rng):
+    """A random finite spec with random alphabet sizes and some +inf metric cells."""
+
+    def alpha(name, n):
+        return Alphabet(name, tuple(f"{name}{i}" for i in range(n)))
+
+    def size():
+        return int(rng.integers(2, 4))
+
+    x = alpha("x", size())
+    z = Alphabet("z", x.symbols) if mode == "direct" else alpha("z", size())
+    y = alpha("y", size())
+    a = alpha("a", int(rng.integers(1, 3)))
+    if mode == "direct":
+        source = np.diag(rng.dirichlet(np.ones(len(x))))
+    else:
+        source = rng.dirichlet(np.ones(len(x) * len(z))).reshape(len(x), len(z))
+    vending = rng.dirichlet(np.ones(len(y)), size=(len(a), len(x), len(z)))
+
+    def metric(recon):
+        shape = (len(x), len(y), len(z), len(recon))
+        table = rng.random(shape)
+        table[rng.random(shape) < rng.choice((0.0, 0.25))] = np.inf
+        # every (x, y, z) cell keeps one finite reconstruction
+        keep = rng.integers(len(recon), size=shape[:3])
+        np.put_along_axis(table, keep[..., None], rng.random(shape[:3] + (1,)), axis=3)
+        return table
+
+    xhat1, xhat2 = alpha("xhat1", size()), alpha("xhat2", size())
+    extra = {}
+    if mode == "heegard-berger":
+        xhat3 = alpha("xhat3", size())
+        extra = {"xhat3_alpha": xhat3, "d3": metric(xhat3)}
+    return ProblemSpec(
+        mode=mode,
+        x_alpha=x,
+        z_alpha=z,
+        y_alpha=y,
+        a_alpha=a,
+        xhat1_alpha=xhat1,
+        xhat2_alpha=xhat2,
+        source=JointPmf((("x", x), ("z", z)), source),
+        vending=Kernel((a, x, z), (y,), vending),
+        cost=rng.random(len(a)),
+        d1=metric(xhat1),
+        d2=metric(xhat2),
+        **extra,
+    )
+
+
+def _sparsified(policy, rng):
+    """Zero the small entries of both kernels so forbidden cells can lose all mass."""
+
+    def snap(kernel):
+        table = kernel.table
+        out_axes = tuple(range(len(kernel.inputs), table.ndim))
+        cut = np.minimum(0.2, table.max(axis=out_axes, keepdims=True))
+        table = np.where(table < cut, 0.0, table)
+        return Kernel(kernel.inputs, kernel.outputs, table / table.sum(axis=out_axes, keepdims=True))
+
+    if rng.random() < 0.5:
+        return policy
+    return Policy(snap(policy.forward), snap(policy.backward))
+
+
+def _close(got, want):
+    if np.isinf(want):
+        return np.isinf(got)
+    return abs(got - want) <= 1e-12
+
+
+def test_fast_evaluator_matches_generic_measures():
+    """evaluate_point agrees with the joint-table measures on random specs.
+
+    Node 1 decodes from (Z, V), node 2 from (U, Y); d3 is the expected
+    third-node metric of the forward kernel's reconstruction W.
+    """
+    rng = np.random.default_rng(2024)
+    modes = ("direct", "indirect", "heegard-berger")
+    for trial in range(300):
+        mode = modes[trial % 3]
+        spec = _random_spec(mode, rng)
+        policy = _sparsified(
+            random_policy(spec, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng), rng
+        )
+        pt = evaluate_point(spec, policy)
+        joint = assemble_joint(spec, policy)
+        w = ["xhat3"] if mode == "heegard-berger" else []
+        want = {
+            "r1": conditional_mutual_information(joint, ["z"], ["a"] + w)
+            + conditional_mutual_information(joint, ["z"], ["u"], ["a", "y"] + w),
+            "r2": conditional_mutual_information(joint, ["y"], ["v"], ["z", "a", "u"] + w),
+            "d1": bayes_decoder(joint, ["z", "v"], spec.d1, spec.xhat1_alpha)[1],
+            "d2": bayes_decoder(joint, ["u", "y"], spec.d2, spec.xhat2_alpha)[1],
+            "gamma": expectation(joint, spec.cost, ["a"]),
+        }
+        if w:
+            want["d3"] = expectation(joint, spec.d3, ["x", "y", "z", "xhat3"])
+        else:
+            assert pt.d3 is None
+        for key, value in want.items():
+            assert _close(getattr(pt, key), value), (trial, mode, key, getattr(pt, key), value)
