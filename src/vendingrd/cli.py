@@ -260,20 +260,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         produced = args.func(args)
+        lines, code = produced[0], produced[1]
+        extra_outputs = list(produced[2]) if len(produced) > 2 else []
+        text = "\n".join(lines) + "\n"
+        if args.output is not None:
+            args.output.write_text(text)
+            _write_manifest(args, [args.output] + extra_outputs, time.perf_counter() - started)
+        else:
+            sys.stdout.write(text)
     except InfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (SpecFormatError, TableError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    lines, code = produced[0], produced[1]
-    extra_outputs = list(produced[2]) if len(produced) > 2 else []
-    text = "\n".join(lines) + "\n"
-    if args.output is not None:
-        args.output.write_text(text)
-        _write_manifest(args, [args.output] + extra_outputs, time.perf_counter() - started)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -9,6 +9,7 @@ may contain +inf to forbid a reconstruction outright.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -180,9 +181,13 @@ def with_node3_erasure_metric(spec: ProblemSpec) -> ProblemSpec:
 
 # --- JSON round trip -------------------------------------------------------
 #
-# Probabilities are written as decimal strings with 17 significant digits so
-# a load/save cycle is bit exact.  The loader never renormalizes: sums must
-# already be within 1e-12.
+# Every table, in instance and policy documents alike, is written as its
+# nonzero cells under comma-joined symbol keys ("x,z" -> value), and a kernel
+# as one such cells object per input row, keyed the same way.  Two sections
+# differ: metric cells are a list of [key, value] pairs, and the action costs
+# are written densely, zeros included.  Numbers are decimal strings with 17
+# significant digits so a load/save cycle is bit exact.  The loader never
+# renormalizes: sums must already be within 1e-12.
 
 def _fmt(value: float) -> str:
     if value == np.inf:
@@ -190,167 +195,174 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_number(raw: Any, where: str, allow_inf: bool = False) -> float:
-    if isinstance(raw, str):
-        if raw == "inf":
-            if allow_inf:
-                return float("inf")
-            raise SpecFormatError(f"{where}: 'inf' not allowed here")
-        try:
-            return float(raw)
-        except ValueError:
-            raise SpecFormatError(f"{where}: bad number {raw!r}") from None
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    raise SpecFormatError(f"{where}: bad number {raw!r}")
-
-
-def _require(doc: dict, key: str, where: str) -> Any:
+def require_field(doc: Any, key: str, where: str) -> Any:
+    """``doc[key]``, where ``doc`` must be a JSON object holding ``key``."""
+    if not isinstance(doc, dict):
+        raise SpecFormatError(f"{where}: expected a JSON object")
     if key not in doc:
         raise SpecFormatError(f"{where}: missing key {key!r}")
     return doc[key]
 
 
-def _key_to_indices(key: str, alphas: tuple[Alphabet, ...], where: str) -> tuple[int, ...]:
-    parts = key.split(",")
+def _key_to_indices(key: Any, alphas: tuple[Alphabet, ...], where: str) -> tuple[int, ...]:
+    parts = key.split(",") if isinstance(key, str) else ()
     if len(parts) != len(alphas):
-        raise SpecFormatError(f"{where}: key {key!r} needs {len(alphas)} symbols")
+        raise SpecFormatError(f"{where}: key {key!r} is not {len(alphas)} comma-joined symbols")
     try:
-        return tuple(al.index(sym) for al, sym in zip(alphas, parts))
+        return tuple(map(Alphabet.index, alphas, parts))
     except TableError as exc:
         raise SpecFormatError(f"{where}: {exc}") from None
 
 
+def _items(doc: Any, where: str, pairs: bool) -> Any:
+    if pairs:
+        if isinstance(doc, list) and all(isinstance(c, list) and len(c) == 2 for c in doc):
+            return doc
+        raise SpecFormatError(f"{where}: cells must be [key, value] pairs")
+    if isinstance(doc, dict):
+        return doc.items()
+    raise SpecFormatError(f"{where}: expected a JSON object")
+
+
+def table_to_cells(table: np.ndarray, alphas: tuple[Alphabet, ...]) -> dict:
+    """The nonzero cells of a dense table, keyed by comma-joined symbols."""
+    return {
+        ",".join(al.symbols[i] for al, i in zip(alphas, idx)): _fmt(table[tuple(idx)])
+        for idx in np.argwhere(table != 0.0).tolist()
+    }
+
+
+def table_from_cells(
+    cells: Any,
+    alphas: tuple[Alphabet, ...],
+    where: str,
+    out: np.ndarray | None = None,
+    allow_inf: bool = False,
+    pairs: bool = False,
+) -> np.ndarray:
+    """Fill a dense table (``out``, or a new zero one) from its cells object,
+    or from a list of ``[key, value]`` pairs when ``pairs`` is set.  Values
+    are numbers or number strings; +inf only where ``allow_inf``."""
+    table = np.zeros(tuple(len(al) for al in alphas)) if out is None else out
+    for key, raw in _items(cells, where, pairs):
+        idx = _key_to_indices(key, alphas, where)
+        try:
+            value = math.nan if isinstance(raw, bool) else float(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not (-math.inf < value < math.inf or (allow_inf and value == math.inf)):
+            raise SpecFormatError(f"{where}[{key!r}]: bad number {raw!r}")
+        table[idx] = value
+    return table
+
+
+def kernel_to_rows(kernel: Kernel) -> dict:
+    """One cells object per input row, keyed by the row's comma-joined inputs."""
+    return {
+        ",".join(al.symbols[i] for al, i in zip(kernel.inputs, idx)): table_to_cells(
+            kernel.table[idx], kernel.outputs
+        )
+        for idx in np.ndindex(kernel.table.shape[: len(kernel.inputs)])
+    }
+
+
+def kernel_from_rows(
+    rows: Any, inputs: tuple[Alphabet, ...], outputs: tuple[Alphabet, ...], where: str
+) -> Kernel:
+    """The inverse of kernel_to_rows.  A missing row stays all zero, which the
+    Kernel check then rejects."""
+    table = np.zeros(tuple(len(al) for al in inputs + outputs))
+    for key, cells in _items(rows, where, False):
+        row = table[_key_to_indices(key, inputs, where)]
+        table_from_cells(cells, outputs, f"{where}[{key!r}]", out=row)
+    try:
+        return Kernel(inputs, outputs, table)
+    except TableError as exc:
+        raise SpecFormatError(f"{where}: {exc}") from None
+
+
+def read_alphabets(doc: Any, names: list[str], where: str) -> dict[str, Alphabet]:
+    """The named alphabets of an ``alphabets`` object (name -> symbol list)."""
+    alphas = {}
+    for name in names:
+        syms = require_field(doc, name, where)
+        if not isinstance(syms, list) or not all(isinstance(s, str) for s in syms):
+            raise SpecFormatError(f"{where}.{name}: expected a list of strings")
+        try:
+            alphas[name] = Alphabet(name, tuple(syms))
+        except TableError as exc:
+            raise SpecFormatError(f"{where}.{name}: {exc}") from None
+    return alphas
+
+
+def read_json(path: str | Path, where: str) -> Any:
+    """Parse a JSON file; bad JSON raises SpecFormatError with its position."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        msg = f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise SpecFormatError(f"{where}: {msg}") from None
+    except RecursionError:
+        raise SpecFormatError(f"{where}: JSON nested too deeply") from None
+
+
 def spec_to_document(spec: ProblemSpec) -> dict:
     """Serialize a spec to a JSON-ready dict."""
-    alphabets = {
-        "x": list(spec.x_alpha.symbols),
-        "z": list(spec.z_alpha.symbols),
-        "y": list(spec.y_alpha.symbols),
-        "a": list(spec.a_alpha.symbols),
-        "xhat1": list(spec.xhat1_alpha.symbols),
-        "xhat2": list(spec.xhat2_alpha.symbols),
-    }
-    if spec.xhat3_alpha is not None:
-        alphabets["xhat3"] = list(spec.xhat3_alpha.symbols)
-    source = {}
-    for (i, xs) in enumerate(spec.x_alpha.symbols):
-        for (j, zs) in enumerate(spec.z_alpha.symbols):
-            p = spec.source.table[i, j]
-            if p != 0.0:
-                source[f"{xs},{zs}"] = _fmt(p)
-    vending = {}
-    for ai, asym in enumerate(spec.a_alpha.symbols):
-        for xi, xsym in enumerate(spec.x_alpha.symbols):
-            for zi, zsym in enumerate(spec.z_alpha.symbols):
-                row = {}
-                for yi, ysym in enumerate(spec.y_alpha.symbols):
-                    p = spec.vending.table[ai, xi, zi, yi]
-                    if p != 0.0:
-                        row[ysym] = _fmt(p)
-                vending[f"{asym},{xsym},{zsym}"] = row
-    metrics = {}
+    x, y, z = spec.x_alpha, spec.y_alpha, spec.z_alpha
+    alphas = {"x": x, "z": z, "y": y, "a": spec.a_alpha}
+    alphas.update(xhat1=spec.xhat1_alpha, xhat2=spec.xhat2_alpha)
     recons = [("d1", spec.d1, spec.xhat1_alpha), ("d2", spec.d2, spec.xhat2_alpha)]
     if spec.d3 is not None:
+        alphas["xhat3"] = spec.xhat3_alpha
         recons.append(("d3", spec.d3, spec.xhat3_alpha))
-    for name, table, recon in recons:
-        cells = []
-        for idx in np.argwhere(table != 0.0):
-            xi, yi, zi, ki = (int(v) for v in idx)
-            key = ",".join(
-                (
-                    spec.x_alpha.symbols[xi],
-                    spec.y_alpha.symbols[yi],
-                    spec.z_alpha.symbols[zi],
-                    recon.symbols[ki],
-                )
-            )
-            cells.append([key, _fmt(table[xi, yi, zi, ki])])
-        metrics[name] = cells
-    cost = {asym: _fmt(spec.cost[i]) for i, asym in enumerate(spec.a_alpha.symbols)}
     return {
         "mode": spec.mode,
-        "alphabets": alphabets,
-        "source": {"vars": ["x", "z"], "table": source},
-        "vending": vending,
-        "cost": cost,
-        "metrics": metrics,
+        "alphabets": {name: list(al.symbols) for name, al in alphas.items()},
+        "source": {"vars": ["x", "z"], "table": table_to_cells(spec.source.table, (x, z))},
+        "vending": kernel_to_rows(spec.vending),
+        "cost": {asym: _fmt(c) for asym, c in zip(spec.a_alpha.symbols, spec.cost)},
+        "metrics": {
+            name: [list(cell) for cell in table_to_cells(table, (x, y, z, recon)).items()]
+            for name, table, recon in recons
+        },
     }
 
 
 def spec_from_document(doc: dict) -> ProblemSpec:
     """Parse and validate a spec document (the inverse of spec_to_document)."""
-    if not isinstance(doc, dict):
-        raise SpecFormatError("document: expected a JSON object at top level")
-    mode = _require(doc, "mode", "document")
-    raw_alphas = _require(doc, "alphabets", "document")
-    alphas: dict[str, Alphabet] = {}
-    needed = ["x", "z", "y", "a", "xhat1", "xhat2"]
-    if mode == "heegard-berger":
-        needed.append("xhat3")
-    for name in needed:
-        syms = _require(raw_alphas, name, "alphabets")
-        if not isinstance(syms, list) or not all(isinstance(s, str) for s in syms):
-            raise SpecFormatError(f"alphabets.{name}: expected a list of strings")
-        try:
-            alphas[name] = Alphabet(name, tuple(syms))
-        except TableError as exc:
-            raise SpecFormatError(f"alphabets.{name}: {exc}") from None
-
-    src_doc = _require(doc, "source", "document")
-    if _require(src_doc, "vars", "source") != ["x", "z"]:
+    mode = require_field(doc, "mode", "document")
+    hb = mode == "heegard-berger"
+    names = ["x", "z", "y", "a", "xhat1", "xhat2"] + (["xhat3"] if hb else [])
+    alphas = read_alphabets(require_field(doc, "alphabets", "document"), names, "alphabets")
+    x, z, y, a = (alphas[n] for n in ("x", "z", "y", "a"))
+    src_doc = require_field(doc, "source", "document")
+    if require_field(src_doc, "vars", "source") != ["x", "z"]:
         raise SpecFormatError("source.vars: must be ['x', 'z']")
-    source = np.zeros((len(alphas["x"]), len(alphas["z"])))
-    for key, raw in _require(src_doc, "table", "source").items():
-        i, j = _key_to_indices(key, (alphas["x"], alphas["z"]), "source.table")
-        source[i, j] = _parse_number(raw, f"source.table[{key!r}]")
-
-    vend_doc = _require(doc, "vending", "document")
-    vending = np.zeros((len(alphas["a"]), len(alphas["x"]), len(alphas["z"]), len(alphas["y"])))
-    for key, row in vend_doc.items():
-        ai, xi, zi = _key_to_indices(key, (alphas["a"], alphas["x"], alphas["z"]), "vending")
-        if not isinstance(row, dict):
-            raise SpecFormatError(f"vending[{key!r}]: expected an object of y probabilities")
-        for ysym, raw in row.items():
-            yi = alphas["y"].index(ysym) if ysym in alphas["y"].symbols else None
-            if yi is None:
-                raise SpecFormatError(f"vending[{key!r}]: unknown output symbol {ysym!r}")
-            vending[ai, xi, zi, yi] = _parse_number(raw, f"vending[{key!r}][{ysym!r}]")
-
-    cost_doc = _require(doc, "cost", "document")
-    cost = np.zeros(len(alphas["a"]))
-    for asym, raw in cost_doc.items():
-        cost[alphas["a"].index(asym)] = _parse_number(raw, f"cost[{asym!r}]")
-
-    metrics_doc = _require(doc, "metrics", "document")
-    tables = {}
-    metric_names = ["d1", "d2"] + (["d3"] if mode == "heegard-berger" else [])
-    recon_of = {"d1": alphas["xhat1"], "d2": alphas["xhat2"]}
-    if mode == "heegard-berger":
-        recon_of["d3"] = alphas["xhat3"]
-    for name in metric_names:
-        cells = _require(metrics_doc, name, "metrics")
-        recon = recon_of[name]
-        table = np.zeros((len(alphas["x"]), len(alphas["y"]), len(alphas["z"]), len(recon)))
-        for entry in cells:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise SpecFormatError(f"metrics.{name}: cells must be [key, value] pairs")
-            key, raw = entry
-            idx = _key_to_indices(key, (alphas["x"], alphas["y"], alphas["z"], recon), f"metrics.{name}")
-            table[idx] = _parse_number(raw, f"metrics.{name}[{key!r}]", allow_inf=True)
-        tables[name] = table
-
+    source = table_from_cells(require_field(src_doc, "table", "source"), (x, z), "source.table")
+    vending = kernel_from_rows(require_field(doc, "vending", "document"), (a, x, z), (y,), "vending")
+    cost = table_from_cells(require_field(doc, "cost", "document"), (a,), "cost")
+    metrics_doc = require_field(doc, "metrics", "document")
+    tables = {
+        name: table_from_cells(
+            require_field(metrics_doc, name, "metrics"),
+            (x, y, z, alphas["xhat" + name[1]]),
+            f"metrics.{name}",
+            allow_inf=True,
+            pairs=True,
+        )
+        for name in ["d1", "d2"] + (["d3"] if hb else [])
+    }
     try:
         return ProblemSpec(
             mode=mode,
-            x_alpha=alphas["x"],
-            z_alpha=alphas["z"],
-            y_alpha=alphas["y"],
-            a_alpha=alphas["a"],
+            x_alpha=x,
+            z_alpha=z,
+            y_alpha=y,
+            a_alpha=a,
             xhat1_alpha=alphas["xhat1"],
             xhat2_alpha=alphas["xhat2"],
-            source=JointPmf((("x", alphas["x"]), ("z", alphas["z"])), source),
-            vending=Kernel((alphas["a"], alphas["x"], alphas["z"]), (alphas["y"],), vending),
+            source=JointPmf((("x", x), ("z", z)), source),
+            vending=vending,
             cost=cost,
             d1=tables["d1"],
             d2=tables["d2"],
@@ -366,9 +378,4 @@ def save_spec(spec: ProblemSpec, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path) -> ProblemSpec:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"document: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return spec_from_document(doc)
+    return spec_from_document(read_json(path, "document"))

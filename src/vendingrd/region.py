@@ -14,21 +14,39 @@ smallest forward rate meeting distortion and cost targets.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .model import ProblemSpec
+from .model import (
+    MODES,
+    ProblemSpec,
+    SpecFormatError,
+    kernel_from_rows,
+    kernel_to_rows,
+    read_alphabets,
+    read_json,
+    require_field,
+)
 from .probability import Alphabet, JointPmf, Kernel, TableError, product_joint
 
 FEASIBILITY_TOL = 1e-7
 _SEED_FLOOR = 1e-12
 _SNAP_THRESHOLDS = (1e-8, 1e-5, 1e-3, 2e-2)
 _INF_MASS_WEIGHT = 1e3
+# Penalty weights swept by every descent, and the objective decrease below
+# which a sweep over the rows counts as converged.
+_PENALTY_SCHEDULE = (1e2, 1e4, 1e6, 1e8)
+_STEP_TOLERANCE = 1e-9
+# A basin hop re-descends from a mid weight so the kicked policy can
+# restructure before the top weight freezes it onto the feasible set.
+_HOP_SCHEDULE = (_PENALTY_SCHEDULE[1], _PENALTY_SCHEDULE[-1])
 
 
 @dataclass(frozen=True)
@@ -122,8 +140,6 @@ class Targets:
 class OptimizerConfig:
     restarts: int = 8
     max_iters: int = 40
-    penalty_schedule: tuple[float, ...] = (1e2, 1e4, 1e6, 1e8)
-    step_tolerance: float = 1e-9
     rng_seed: int = 0
     hops: int = 2
     cardinality_override: tuple[int, int] | None = None
@@ -135,12 +151,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
         if self.hops < 0:
             raise ValueError("hops must be nonnegative")
-        sched = tuple(float(w) for w in self.penalty_schedule)
-        if not sched or any(w <= 0 for w in sched) or any(
-            b <= a for a, b in zip(sched, sched[1:])
-        ):
-            raise ValueError("penalty_schedule must be positive and strictly increasing")
-        object.__setattr__(self, "penalty_schedule", sched)
         if self.cardinality_override is not None:
             nu, nv = self.cardinality_override
             if nu < 1 or nv < 1:
@@ -471,110 +481,44 @@ def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
 # --- policy serialization ---------------------------------------------------
 
 def policy_to_document(policy: Policy) -> dict:
-    from .model import _fmt
-
-    doc = {
+    alphas = {"z": policy.z_alpha, "a": policy.a_alpha, "u": policy.u_alpha}
+    alphas.update(y=policy.y_alpha, v=policy.v_alpha)
+    if policy.hb:
+        alphas["xhat3"] = policy.forward.outputs[2]
+    return {
         "kind": "policy",
         "mode": "heegard-berger" if policy.hb else "indirect",
-        "alphabets": {
-            "z": list(policy.z_alpha.symbols),
-            "a": list(policy.a_alpha.symbols),
-            "u": list(policy.u_alpha.symbols),
-            "y": list(policy.y_alpha.symbols),
-            "v": list(policy.v_alpha.symbols),
-        },
+        "alphabets": {name: list(al.symbols) for name, al in alphas.items()},
+        "forward": kernel_to_rows(policy.forward),
+        "backward": kernel_to_rows(policy.backward),
     }
-    if policy.hb:
-        doc["alphabets"]["xhat3"] = list(policy.forward.outputs[2].symbols)
-    fwd = {}
-    f = policy.forward.table
-    out_alphas = policy.forward.outputs
-    for zi, zsym in enumerate(policy.z_alpha.symbols):
-        row = {}
-        block = f[zi]
-        for idx in np.argwhere(block != 0.0):
-            key = ",".join(al.symbols[i] for al, i in zip(out_alphas, idx))
-            row[key] = _fmt(block[tuple(idx)])
-        fwd[zsym] = row
-    back = {}
-    b = policy.backward.table
-    in_alphas = policy.backward.inputs
-    flat = b.reshape(-1, b.shape[-1])
-    for r in range(flat.shape[0]):
-        idx = np.unravel_index(r, b.shape[:-1])
-        key = ",".join(al.symbols[i] for al, i in zip(in_alphas, idx))
-        row = {
-            policy.v_alpha.symbols[c]: _fmt(flat[r, c])
-            for c in range(flat.shape[1])
-            if flat[r, c] != 0.0
-        }
-        back[key] = row
-    doc["forward"] = fwd
-    doc["backward"] = back
-    return doc
 
 
 def policy_from_document(doc: dict) -> Policy:
-    from .model import SpecFormatError, _key_to_indices, _parse_number, _require
-
-    if doc.get("kind") != "policy":
+    if not isinstance(doc, dict) or doc.get("kind") != "policy":
         raise SpecFormatError("kind: expected a policy document")
-    mode = _require(doc, "mode", "policy")
+    mode = require_field(doc, "mode", "policy")
+    if mode not in MODES:
+        raise SpecFormatError(f"policy.mode: unknown mode {mode!r}")
     hb = mode == "heegard-berger"
-    raw = _require(doc, "alphabets", "policy")
     names = ["z", "a", "u", "y", "v"] + (["xhat3"] if hb else [])
-    alphas = {}
-    for name in names:
-        syms = _require(raw, name, "policy.alphabets")
-        if not isinstance(syms, list) or not all(isinstance(s, str) for s in syms):
-            raise SpecFormatError(f"policy.alphabets.{name}: expected a list of strings")
-        alphas[name] = Alphabet(name, tuple(syms))
-    fwd_outs = (alphas["a"], alphas["u"]) + ((alphas["xhat3"],) if hb else ())
-    f_shape = (len(alphas["z"]),) + tuple(len(al) for al in fwd_outs)
-    f_table = np.zeros(f_shape)
-    for zsym, row in _require(doc, "forward", "policy").items():
-        zi = alphas["z"].index(zsym)
-        for key, val in row.items():
-            idx = _key_to_indices(key, fwd_outs, "policy.forward")
-            f_table[(zi,) + idx] = _parse_number(val, f"policy.forward[{zsym!r}][{key!r}]")
-    back_ins = (alphas["a"], alphas["u"], alphas["y"]) + ((alphas["xhat3"],) if hb else ())
-    b_shape = tuple(len(al) for al in back_ins) + (len(alphas["v"]),)
-    b_table = np.zeros(b_shape)
-    for key, row in _require(doc, "backward", "policy").items():
-        idx = _key_to_indices(key, back_ins, "policy.backward")
-        for vsym, val in row.items():
-            b_table[idx + (alphas["v"].index(vsym),)] = _parse_number(
-                val, f"policy.backward[{key!r}][{vsym!r}]"
-            )
+    alphas = read_alphabets(require_field(doc, "alphabets", "policy"), names, "policy.alphabets")
+    z, a, u, y, v = (alphas[n] for n in ("z", "a", "u", "y", "v"))
+    w = (alphas["xhat3"],) if hb else ()
+    forward = kernel_from_rows(require_field(doc, "forward", "policy"), (z,), (a, u) + w, "policy.forward")
+    backward = kernel_from_rows(require_field(doc, "backward", "policy"), (a, u, y) + w, (v,), "policy.backward")
     try:
-        return Policy(
-            forward=Kernel((alphas["z"],), fwd_outs, f_table),
-            backward=Kernel(back_ins, (alphas["v"],), b_table),
-        )
+        return Policy(forward=forward, backward=backward)
     except TableError as exc:
         raise SpecFormatError(str(exc)) from None
 
 
 def save_policy(policy: Policy, path) -> None:
-    import json
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(policy_to_document(policy), indent=2) + "\n")
 
 
 def load_policy(path) -> Policy:
-    import json
-    from pathlib import Path
-
-    from .model import SpecFormatError
-
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(
-            f"policy: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    return policy_from_document(doc)
+    return policy_from_document(read_json(path, "policy"))
 
 
 # --- penalty-descent search -------------------------------------------------
@@ -644,7 +588,7 @@ class _Search:
         self.theta_b = theta_b
         self.b_exact = b_exact
         self.skip_backward = skip_backward or b_exact is not None
-        self.weight = config.penalty_schedule[0]
+        self.weight = _PENALTY_SCHEDULE[0]
         self.f_steps = np.ones(theta_f.shape[0])
         b_rows = int(np.prod(theta_b.shape[:-1]))
         self.b_steps = np.ones(b_rows)
@@ -708,9 +652,7 @@ class _Search:
         block -= block.max(axis=1, keepdims=True)
         return best_val, best_s
 
-    def run(self, schedule: tuple[float, ...] | None = None) -> None:
-        if schedule is None:
-            schedule = self.config.penalty_schedule
+    def run(self, schedule: tuple[float, ...] = _PENALTY_SCHEDULE) -> None:
         # views (the logits are contiguous), so _improve writes through them
         f_rows = self.theta_f.reshape(self.theta_f.shape[0], -1)
         b_rows = self.theta_b.reshape(-1, self.theta_b.shape[-1])
@@ -724,7 +666,7 @@ class _Search:
                 if not self.skip_backward:
                     for r in range(b_rows.shape[0]):
                         base, self.b_steps[r] = self._improve(b_rows[r : r + 1], base, self.b_steps[r])
-                if before - base < self.config.step_tolerance:
+                if before - base < _STEP_TOLERANCE:
                     break
             # Row-at-a-time descent stalls in valleys that need compensating
             # moves across forward rows (raise one action probability, lower
@@ -733,7 +675,7 @@ class _Search:
             for _ in range(self.config.max_iters):
                 before = base
                 base, self.joint_step = self._improve(f_rows, base, self.joint_step)
-                if before - base < self.config.step_tolerance:
+                if before - base < _STEP_TOLERANCE:
                     break
 
 
@@ -758,10 +700,6 @@ def _run_restart(payload):
     search = _Search(ctx, targets, config, theta_f, theta_b, skip_backward, b_exact)
     search.run()
     best = _judge_snapped(ctx, targets, search)
-    sched = config.penalty_schedule
-    # Re-descend from a mid weight so the kicked policy can restructure
-    # before the top weight freezes it onto the feasible set.
-    hop_sched = (sched[1], sched[-1]) if len(sched) > 2 else sched
     for hop_idx in range(config.hops):
         # Basin hop: soften the saturated logits, kick them, re-descend
         # through the upper penalty stages.  Row descent cannot move
@@ -779,7 +717,7 @@ def _run_restart(payload):
             0.0, 1.5, search.theta_b.shape
         )
         hop = _Search(ctx, targets, config, tf, tb, skip_backward, b_exact)
-        hop.run(hop_sched)
+        hop.run(_HOP_SCHEDULE)
         cand = _judge_snapped(ctx, targets, hop)
         if _better(cand, best):
             best = cand
@@ -878,7 +816,7 @@ def minimize_r1(
 
     Exterior-penalty descent on softmax-parameterized kernels: the objective
     is r1 plus weighted squared constraint violations, with the weight swept
-    over ``penalty_schedule``.  Restarts begin at the supplied seed policies
+    over ``_PENALTY_SCHEDULE``.  Restarts begin at the supplied seed policies
     and continue from Dirichlet-random ones; every restart is deterministic
     given (rng_seed, restart index) and the best feasible result wins, with
     ties broken by restart index.  When no restart lands within the

@@ -132,6 +132,54 @@ def test_evaluate_missing_file(spec_path, tmp_path, capsys):
     assert main(["evaluate", "--spec", str(spec_path), "--policy", str(missing)]) == 2
 
 
+# Each case edits one field of a valid spec or policy document into a shape
+# the reader must reject: (which document, path to the field, new value).
+MALFORMED = {
+    "policy_forward_list": ("policy", ("forward",), ["0", "1"]),
+    "policy_forward_row_list": ("policy", ("forward", "0"), ["0,0", "0.5"]),
+    "policy_backward_row_string": ("policy", ("backward", "0,0,0"), "v0"),
+    "policy_document_list": ("policy", (), ["kind", "policy"]),
+    "spec_source_table_list": ("spec", ("source", "table"), [["0,0", "0.4"], ["1,1", "0.4"]]),
+    "spec_cost_list": ("spec", ("cost",), ["0", "1"]),
+    "spec_vending_list": ("spec", ("vending",), ["0,0,0", {"phi": "1"}]),
+    "metric_key_number": ("spec", ("metrics", "d1"), [[0, "1"]]),
+    "spec_alphabets_string": ("spec", ("alphabets",), "x z y a xhat1 xhat2"),
+    "policy_bool_number": ("policy", ("forward", "e", "0,e"), True),
+    "spec_int_overflow": ("spec", ("cost", "1"), 10**400),
+    "policy_bogus_mode": ("policy", ("mode",), "bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_evaluate_rejects_malformed_documents(case, spec_path, tmp_path, capsys):
+    kind, path, value = MALFORMED[case]
+    policy_path = _policy_path(tmp_path, "case1", 0.4)
+    target = spec_path if kind == "spec" else policy_path
+    doc = json.loads(target.read_text())
+    if path:
+        field = doc
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = value
+    else:
+        doc = value
+    target.write_text(json.dumps(doc))
+    assert main(["evaluate", "--spec", str(spec_path), "--policy", str(policy_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing_dir" / "x.csv"
+    argv = ["closed-form", "--case", "case1", "--gamma", "0.5", "--output", str(missing)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not missing.parent.exists()
+
+
 def test_sweep_seeded_single_point(spec_path, tmp_path, capsys):
     seed = _policy_path(tmp_path, "case1", 0.4)
     code = main(

@@ -134,6 +134,14 @@ def test_loader_reports_json_position(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_loader_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SpecFormatError) as err:
+        load_spec(path)
+    assert "nested" in str(err.value)
+
+
 def test_metric_needs_finite_column():
     spec = binary_erasure_spec(0.2)
     d1 = spec.d1.copy()

@@ -163,8 +163,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(hops=-1)
     with pytest.raises(ValueError):
-        OptimizerConfig(penalty_schedule=())
-    with pytest.raises(ValueError):
-        OptimizerConfig(penalty_schedule=(1e4, 1e2))
-    with pytest.raises(ValueError):
         OptimizerConfig(cardinality_override=(0, 3))

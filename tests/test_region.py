@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from vendingrd.closed_form import (
     hb_abstention_cost,
     hb_rate_formula,
 )
-from vendingrd.model import ProblemSpec, binary_erasure_spec, with_node3_erasure_metric
+from vendingrd.model import (
+    ProblemSpec,
+    binary_erasure_spec,
+    load_spec,
+    save_spec,
+    with_node3_erasure_metric,
+)
 from vendingrd.probability import (
     Alphabet,
     JointPmf,
@@ -316,6 +324,33 @@ def test_policy_document_round_trip_hb():
     back = policy_from_document(doc)
     assert np.array_equal(back.forward.table, policy.forward.table)
     assert back.hb
+
+
+# Documents recorded under tests/data, with the builder each one was written
+# from and the loader/saver pair that must reproduce it byte for byte.
+GOLDEN_DOCUMENTS = {
+    "spec_erasure.json": (_spec, load_spec, save_spec),
+    "spec_erasure_node3.json": (lambda: with_node3_erasure_metric(_spec()), load_spec, save_spec),
+    "policy_case3.json": (
+        lambda: appendixB_policy(ExampleCase("case3", EPS, 0.6)), load_policy, save_policy
+    ),
+    "policy_node3.json": (
+        lambda: _hb_abstention_policy(with_node3_erasure_metric(_spec()), 0.6, 0.3, 0.2, 0.9),
+        load_policy,
+        save_policy,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_documents_match_golden_files(name, tmp_path):
+    build, load, save = GOLDEN_DOCUMENTS[name]
+    path = Path(__file__).parent / "data" / name
+    golden = path.read_bytes()
+    save(load(path), tmp_path / "reloaded.json")
+    assert (tmp_path / "reloaded.json").read_bytes() == golden
+    save(build(), tmp_path / "built.json")
+    assert (tmp_path / "built.json").read_bytes() == golden
 
 
 def test_conditioned_joint_recovers_vending_row():
