@@ -354,19 +354,25 @@ def bayes_decoder(
     return mapping, total
 
 
-def _entropy_of(p: np.ndarray) -> float:
+def _entropy_of(p: np.ndarray) -> np.ndarray:
+    """Entropy of each table in a stack (leading axis)."""
     # Hot path; the additive floor keeps 0 log 0 = 0 without masking.
-    return float(-np.sum(p * np.log2(p + 1e-300)))
+    return -(p * np.log2(p + 1e-300)).reshape(len(p), -1).sum(axis=1)
 
 
 class _EvalContext:
     """Precompiled tables for fast repeated policy evaluation on one spec.
 
-    ``evaluate`` returns r1 = I(Z; A, W) + I(Z; U | A, W, Y), r2 =
-    I(Y; V | Z, A, U, W), the expected cost, the Bayes distortions of node 1
-    from (Z, V) and node 2 from (U, Y), and, with a third node, d3 averaged
-    over W.  Each distortion comes with the mass that lands on forbidden
-    (+inf) cells.  Without a third node W has one letter.
+    ``evaluate`` scores a stack of policies: F and B carry a leading policy
+    axis, of length n or of length 1 when the whole stack shares the kernel,
+    and every metric comes back as an array of length n.  The metrics are
+    r1 = I(Z; A, W) + I(Z; U | A, W, Y), r2 = I(Y; V | Z, A, U, W), the
+    expected cost, the Bayes distortions of node 1 from (Z, V) and node 2
+    from (U, Y), and, with a third node, d3 averaged over W.  Each
+    distortion comes with the mass that lands on forbidden (+inf) cells.
+    Without a third node W has one letter.  Each policy's metrics equal,
+    bit for bit, those of the same policy evaluated as a stack of one.
+    ``with_r2=False`` leaves out r2, which the search's objective never reads.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -374,7 +380,7 @@ class _EvalContext:
         self.hb = spec.mode == "heegard-berger"
         S = spec.source.table
         self.pz = S.sum(axis=0)
-        self.hz = _entropy_of(self.pz)
+        self.hz = _entropy_of(self.pz[None])[0]
         self.cost = spec.cost
         SV = S[None, :, :, None] * spec.vending.table
         self.SV = SV
@@ -383,9 +389,9 @@ class _EvalContext:
         if self.hb:
             d3 = spec.d3
             fin = np.isfinite(d3)
-            # collapse x and y straight away: d3 is averaged, not decoded
-            self.c3_fin = np.einsum("axzy,xyzw->azw", SV, np.where(fin, d3, 0.0))
-            self.c3_inf = np.einsum("axzy,xyzw->azw", SV, (~fin).astype(float))
+            # collapse x and y straight away: d3 is averaged, not decoded;
+            # the finite part and the forbidden mass share one table
+            self.c3 = np.einsum("axzy,kxyzw->kazw", SV, np.stack([np.where(fin, d3, 0.0), ~fin]))
 
     @staticmethod
     def _metric_terms(SV, metric):
@@ -396,64 +402,80 @@ class _EvalContext:
             c_inf = None
         return c_fin, c_inf
 
-    def evaluate(self, F: np.ndarray, B: np.ndarray) -> dict:
+    def evaluate(self, F: np.ndarray, B: np.ndarray, with_r2: bool = True) -> dict:
         if not self.hb:
             # the two-node region is the third-node one with a one-letter W
             F, B = F[..., None], B[..., None, :]
+        n = max(len(F), len(B))
         pzauw = self.pz[:, None, None, None] * F
-        pzaw = pzauw.sum(axis=2)
-        pza = pzaw.sum(axis=2)
-        gamma = float((pza.sum(axis=0) * self.cost).sum())
-        pzauwy = np.einsum("axzy,zauw->zauwy", self.SV, F)
-        pzawy = pzauwy.sum(axis=2)
+        pzaw = pzauw.sum(axis=3)
+        pza = pzaw.sum(axis=3)
+        gamma = (pza.sum(axis=1) * self.cost).sum(axis=1)
+        pzauwy = np.einsum("axzy,nzauw->nzauwy", self.SV, F)
+        pzawy = pzauwy.sum(axis=3)
+        h_zauwy = _entropy_of(pzauwy)
         # I(Z; A, W) + I(Z; U | A, W, Y)
         r1 = (
             self.hz
-            + _entropy_of(pzaw.sum(axis=0))
+            + _entropy_of(pzaw.sum(axis=1))
             - _entropy_of(pzaw)
             + _entropy_of(pzawy)
-            + _entropy_of(pzauwy.sum(axis=0))
-            - _entropy_of(pzauwy)
-            - _entropy_of(pzawy.sum(axis=0))
+            + _entropy_of(pzauwy.sum(axis=1))
+            - h_zauwy
+            - _entropy_of(pzawy.sum(axis=1))
         )
-        pzauwyv = np.einsum("zauwy,auywv->zauwyv", pzauwy, B)
-        r2 = (
-            _entropy_of(pzauwy)
-            + _entropy_of(pzauwyv.sum(axis=4))
-            - _entropy_of(pzauwyv)
-            - _entropy_of(pzauw)
-        )
-        fb = np.einsum("zauw,auywv->zayv", F, B)
-        d1_fin, d1_inf = self._decode(np.einsum("zayv,azyk->vzk", fb, self.c1_fin), fb, self.c1_inf, "zayv,azyk->vzk")
-        Fu = F.sum(axis=3)
-        d2_fin, d2_inf = self._decode(np.einsum("zau,azyk->uyk", Fu, self.c2_fin), Fu, self.c2_inf, "zau,azyk->uyk")
+        r1[r1 < 0.0] = 0.0
+        fb = np.einsum("nzauw,nauywv->nzayv", F, B)
+        d1_fin, d1_inf = self._decode(np.einsum("nzayv,azyk->nvzk", fb, self.c1_fin), fb, self.c1_inf, "nzayv,azyk->nvzk")
+        Fu = F.sum(axis=4)
+        d2_fin, d2_inf = self._decode(np.einsum("nzau,azyk->nuyk", Fu, self.c2_fin), Fu, self.c2_inf, "nzau,azyk->nuyk")
         m = {
-            "r1": max(r1, 0.0),
-            "r2": max(r2, 0.0),
+            "r1": r1,
             "gamma": gamma,
             "d1": d1_fin,
             "d1_inf_mass": d1_inf,
             "d2": d2_fin,
             "d2_inf_mass": d2_inf,
         }
+        if with_r2:
+            pzauwyv = np.einsum("nzauwy,nauywv->nzauwyv", pzauwy, B)
+            r2 = h_zauwy + _entropy_of(pzauwyv.sum(axis=5)) - _entropy_of(pzauwyv) - _entropy_of(pzauw)
+            r2[r2 < 0.0] = 0.0
+            m["r2"] = r2
         if self.hb:
-            Fw = F.sum(axis=2)
-            m["d3"] = float(np.einsum("zaw,azw->", Fw, self.c3_fin))
-            m["d3_inf_mass"] = float(np.einsum("zaw,azw->", Fw, self.c3_inf))
+            Fw = F.sum(axis=3)
+            # The sums over w, folded left in (a, z) order, add the terms
+            # in the order of one policy's einsum "zaw,azw->", which runs a
+            # single sum over (z, w) when |A| or |Z| is 1.
+            sub = "nzaw,kazw->kn" if 1 in Fw.shape[1:3] else "nzaw,kazw->knaz"
+            m["d3"], m["d3_inf_mass"] = np.cumsum(np.einsum(sub, Fw, self.c3).reshape(2, len(F), -1), axis=2)[..., -1]
+        if len(F) < n:
+            # a shared forward kernel: the metrics that only F decides are shared too
+            m = {key: value if len(value) == n else value.repeat(n) for key, value in m.items()}
         return m
 
     @staticmethod
-    def _decode(w_fin, left, c_inf, subscript) -> tuple[float, float]:
-        """Sum of per-observation minima, tracking mass on forbidden cells."""
+    def _decode(w_fin, left, c_inf, subscript) -> tuple[np.ndarray, np.ndarray]:
+        """Per policy, the sum of per-observation minima and the mass on
+        forbidden cells."""
+        n, k = len(w_fin), w_fin.shape[-1]
         if c_inf is None:
-            flat = w_fin.reshape(-1, w_fin.shape[-1])
-            return float(flat.min(axis=1).sum()), 0.0
-        w_inf = np.einsum(subscript, left, c_inf)
-        w = np.where(w_inf > 0.0, np.inf, w_fin).reshape(-1, w_fin.shape[-1])
-        mins = w.min(axis=1)
+            return w_fin.reshape(n, -1, k).min(axis=2).sum(axis=1), np.zeros(n)
+        w_inf = np.einsum(subscript, left, c_inf).reshape(n, -1, k)
+        mins = np.where(w_inf > 0.0, np.inf, w_fin.reshape(n, -1, k)).min(axis=2)
         bad = ~np.isfinite(mins)
-        inf_mass = float(w_inf.reshape(-1, w_inf.shape[-1]).min(axis=1)[bad].sum()) if bad.any() else 0.0
-        return float(mins[~bad].sum()), inf_mass
+        fin, inf_mass = mins.sum(axis=1), np.zeros(n)
+        for i in np.flatnonzero(bad.any(axis=1)):
+            # drop the forbidden minima rather than add zeros in their place:
+            # numpy's pairwise sum groups the terms by position
+            fin[i] = mins[i][~bad[i]].sum()
+            inf_mass[i] = w_inf[i].min(axis=1)[bad[i]].sum()
+        return fin, inf_mass
+
+
+def _evaluate_one(ctx: _EvalContext, F: np.ndarray, B: np.ndarray) -> dict:
+    """The metrics of one policy, as the stack of one."""
+    return {key: float(value[0]) for key, value in ctx.evaluate(F[None], B[None]).items()}
 
 
 def _point_from_metrics(m: dict) -> OperatingPoint:
@@ -473,8 +495,7 @@ def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
     metric of the forward kernel's reconstruction W.
     """
     _check_compatible(spec, policy)
-    ctx = _EvalContext(spec)
-    metrics = ctx.evaluate(policy.forward.table, policy.backward.table)
+    metrics = _evaluate_one(_EvalContext(spec), policy.forward.table, policy.backward.table)
     return _point_from_metrics(metrics)
 
 
@@ -530,9 +551,12 @@ def fan_out(fn, payloads: list) -> list:
     workers = min(os.cpu_count() or 1, len(payloads))
     if cap_raw:
         try:
-            workers = min(workers, int(cap_raw))
+            cap = int(cap_raw)
         except ValueError:
-            raise ValueError(f"VENDINGRD_THREADS must be an integer, got {cap_raw!r}") from None
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"VENDINGRD_THREADS must be a positive integer, got {cap_raw!r}")
+        workers = min(workers, cap)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
@@ -547,13 +571,14 @@ def _softmax(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
 
 
 def _violations(m: dict, targets: Targets) -> dict:
+    """Each policy's penalized constraint excess, from stacked metrics."""
     res = {
-        "d1": max(0.0, m["d1"] - targets.d1) + _INF_MASS_WEIGHT * m["d1_inf_mass"],
-        "d2": max(0.0, m["d2"] - targets.d2) + _INF_MASS_WEIGHT * m["d2_inf_mass"],
-        "gamma": max(0.0, m["gamma"] - targets.gamma),
+        "d1": np.maximum(0.0, m["d1"] - targets.d1) + _INF_MASS_WEIGHT * m["d1_inf_mass"],
+        "d2": np.maximum(0.0, m["d2"] - targets.d2) + _INF_MASS_WEIGHT * m["d2_inf_mass"],
+        "gamma": np.maximum(0.0, m["gamma"] - targets.gamma),
     }
     if "d3" in m and targets.d3 is not None:
-        res["d3"] = max(0.0, m["d3"] - targets.d3) + _INF_MASS_WEIGHT * m["d3_inf_mass"]
+        res["d3"] = np.maximum(0.0, m["d3"] - targets.d3) + _INF_MASS_WEIGHT * m["d3_inf_mass"]
     return res
 
 
@@ -589,83 +614,94 @@ class _Search:
         self.b_exact = b_exact
         self.skip_backward = skip_backward or b_exact is not None
         self.weight = _PENALTY_SCHEDULE[0]
-        self.f_steps = np.ones(theta_f.shape[0])
-        b_rows = int(np.prod(theta_b.shape[:-1]))
-        self.b_steps = np.ones(b_rows)
+        # 2-D views of the logits (they are contiguous), one kernel row each
+        self.f_rows = theta_f.reshape(theta_f.shape[0], -1)
+        self.b_rows = theta_b.reshape(-1, theta_b.shape[-1])
+        self.f_steps = np.ones(len(self.f_rows))
+        self.b_steps = np.ones(len(self.b_rows))
         self.joint_step = 1.0
 
     def objective(self) -> float:
-        m = self.metrics()
-        viol = _violations(m, self.targets)
-        return m["r1"] + self.weight * sum(v * v for v in viol.values())
+        return float(self._scores(self.theta_f[None], self.theta_b[None])[0])
 
     def current_backward(self) -> np.ndarray:
         if self.b_exact is not None:
             return self.b_exact
         return _softmax(self.theta_b, self.theta_b.ndim - 1)
 
-    def metrics(self) -> dict:
-        F = _softmax(self.theta_f, 1)
-        return self.ctx.evaluate(F, self.current_backward())
+    def _scores(self, tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
+        """The objective of a stack of logits (leading axis of length n or 1)."""
+        B = self.b_exact[None] if self.b_exact is not None else _softmax(tb, tb.ndim - 1)
+        m = self.ctx.evaluate(_softmax(tf, 2), B, with_r2=False)
+        viol = _violations(m, self.targets)
+        return m["r1"] + self.weight * sum(v * v for v in viol.values())
 
-    def _improve(self, block, base, step):
-        """One finite-difference descent step over the rows of ``block``.
+    def _block_scores(self, forward: bool, rows: slice, blocks: np.ndarray) -> np.ndarray:
+        """The objective with each of ``blocks`` in ``rows`` of the forward
+        (or backward) logit rows, scored as one stack."""
+        stack = np.repeat((self.f_rows if forward else self.b_rows)[None], len(blocks), axis=0)
+        stack[:, rows] = blocks
+        if forward:
+            return self._scores(stack.reshape((-1,) + self.theta_f.shape), self.theta_b[None])
+        return self._scores(self.theta_f[None], stack.reshape((-1,) + self.theta_b.shape))
 
-        The block is a 2-D view of the logits whose rows are kernel rows.
-        The gradient is centred per row (softmax ignores a row's shift),
-        scaled by its largest entry, and followed by a doubling/halving line
-        search.  Returns the new objective and the step to try next.
+    def _improve(self, forward: bool, rows: slice, base, step):
+        """One finite-difference descent step over ``rows`` of the forward
+        (or backward) logits, seen as a 2-D array of kernel rows.
+
+        The forward-difference probes, +h on one entry each, are scored as
+        one stack.  The gradient is centred per row (softmax ignores a
+        row's shift), scaled by its largest entry, and followed by a
+        doubling/halving line search over the steps step * 2**k.  The rungs
+        k = -6..3 are scored as one stack and the search is replayed on
+        their values; higher rungs are scored only when it climbs past 3.
+        Either way the search visits what a probe-at-a-time search would.
+        Returns the new objective and the step to try next.
         """
         h = 1e-4
-        flat = block.reshape(-1)
-        g = np.empty(flat.size)
-        for c in range(flat.size):
-            old = flat[c]
-            flat[c] = old + h
-            g[c] = (self.objective() - base) / h
-            flat[c] = old
+        block = (self.f_rows if forward else self.b_rows)[rows]
+        n = block.size
+        probes = np.repeat(block.reshape(1, -1), n, axis=0)
+        probes[np.arange(n), np.arange(n)] += h
+        g = (self._block_scores(forward, rows, probes.reshape((n,) + block.shape)) - base) / h
         g = g.reshape(block.shape)
         d = -(g - g.mean(axis=1, keepdims=True))
         norm = np.abs(d).max()
         if norm < 1e-13:
             return base, step
         d = d / norm
-        start = block.copy()
-        best_val, best_s = base, 0.0
-        s = step
-        tried_expand = False
+        ks = np.arange(-6, 4)
+        rungs = self._block_scores(forward, rows, block + (step * 2.0**ks)[:, None, None] * d)
+        values = dict(zip(ks.tolist(), rungs))
+        best_val, best_k, k = base, None, 0
         for _ in range(24):
-            np.copyto(block, start + s * d)
-            val = self.objective()
-            if val < best_val - 1e-15:
-                best_val, best_s = val, s
-                s *= 2.0
-                tried_expand = True
+            if k not in values:
+                values[k] = self._block_scores(forward, rows, (block + step * 2.0**k * d)[None])[0]
+            if values[k] < best_val - 1e-15:
+                best_val, best_k = values[k], k
+                k += 1
+            elif best_k is not None or k <= -6:
+                break
             else:
-                if tried_expand or s <= step * 2 ** -6:
-                    break
-                s *= 0.5
-        if best_s == 0.0:
-            np.copyto(block, start)
+                k -= 1
+        if best_k is None:
             return base, max(step * 0.5, 1e-4)
-        np.copyto(block, start + best_s * d)
+        best_s = step * 2.0**best_k
+        block += best_s * d
         block -= block.max(axis=1, keepdims=True)
         return best_val, best_s
 
     def run(self, schedule: tuple[float, ...] = _PENALTY_SCHEDULE) -> None:
-        # views (the logits are contiguous), so _improve writes through them
-        f_rows = self.theta_f.reshape(self.theta_f.shape[0], -1)
-        b_rows = self.theta_b.reshape(-1, self.theta_b.shape[-1])
         for weight in schedule:
             self.weight = weight
             base = self.objective()
             for _ in range(self.config.max_iters):
                 before = base
-                for r in range(f_rows.shape[0]):
-                    base, self.f_steps[r] = self._improve(f_rows[r : r + 1], base, self.f_steps[r])
+                for r in range(len(self.f_rows)):
+                    base, self.f_steps[r] = self._improve(True, slice(r, r + 1), base, self.f_steps[r])
                 if not self.skip_backward:
-                    for r in range(b_rows.shape[0]):
-                        base, self.b_steps[r] = self._improve(b_rows[r : r + 1], base, self.b_steps[r])
+                    for r in range(len(self.b_rows)):
+                        base, self.b_steps[r] = self._improve(False, slice(r, r + 1), base, self.b_steps[r])
                 if before - base < _STEP_TOLERANCE:
                     break
             # Row-at-a-time descent stalls in valleys that need compensating
@@ -674,7 +710,7 @@ class _Search:
             # along them.
             for _ in range(self.config.max_iters):
                 before = base
-                base, self.joint_step = self._improve(f_rows, base, self.joint_step)
+                base, self.joint_step = self._improve(True, slice(None), base, self.joint_step)
                 if before - base < _STEP_TOLERANCE:
                     break
 
@@ -765,7 +801,7 @@ def _search_sizes(spec, config) -> tuple[int, int]:
 
 
 def _judge(ctx, targets, F, B):
-    m = ctx.evaluate(F, B)
+    m = _evaluate_one(ctx, F, B)
     point = _point_from_metrics(m)
     residuals = _true_residuals(point, targets)
     worst = max(residuals.values())

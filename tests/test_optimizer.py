@@ -60,10 +60,12 @@ def test_search_output_is_pinned(monkeypatch, threads):
     monkeypatch.setenv("VENDINGRD_THREADS", threads)
     spec = binary_erasure_spec(EPS)
     case2 = Targets(d1=0.0, d2=0.4, gamma=0.6)
-    # |V| = 2 < |Y| leaves the backward kernel to the search; |V| = 3 relays Y
+    # |V| = 2 < |Y| leaves the backward kernel to the search; |V| = 3 relays Y.
+    # A slack d1 target keeps the softmaxed backward kernel out of the search.
     points = {
         "case2": (spec, case2, (3, 3)),
         "case2_searched_backward": (spec, case2, (3, 2)),
+        "case1_slack_backward": (spec, Targets(d1=0.5, d2=0.0, gamma=0.4), (3, 2)),
         "third_node": (
             with_node3_erasure_metric(spec),
             Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6),
@@ -151,6 +153,10 @@ def test_thread_cap_must_parse(monkeypatch):
     monkeypatch.setenv("VENDINGRD_THREADS", "one")
     with pytest.raises(ValueError):
         minimize_r1(spec, targets, config)
+    for cap in ("0", "-1"):
+        monkeypatch.setenv("VENDINGRD_THREADS", cap)
+        with pytest.raises(ValueError):
+            minimize_r1(spec, targets, config)
     monkeypatch.setenv("VENDINGRD_THREADS", "1")
     minimize_r1(spec, targets, config)
 

@@ -43,6 +43,7 @@ from vendingrd.region import (
     policy_to_document,
     random_policy,
     save_policy,
+    _EvalContext,
 )
 
 EPS = 0.2
@@ -465,3 +466,30 @@ def test_fast_evaluator_matches_generic_measures():
             assert pt.d3 is None
         for key, value in want.items():
             assert _close(getattr(pt, key), value), (trial, mode, key, getattr(pt, key), value)
+
+
+def test_stacked_evaluation_matches_single():
+    """A stack of policies scores each one exactly as a stack of one does.
+
+    The search scores its probes as stacks, so its output must not depend
+    on how many policies share a call: every metric is compared with ==.
+    """
+    rng = np.random.default_rng(77)
+    modes = ("direct", "indirect", "heegard-berger")
+    for trial in range(300):
+        spec = _random_spec(modes[trial % 3], rng)
+        ctx = _EvalContext(spec)
+        nu, nv, n = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 21))
+        policies = [_sparsified(random_policy(spec, nu, nv, rng), rng) for _ in range(n)]
+        F = np.stack([p.forward.table for p in policies])
+        B = np.stack([p.backward.table for p in policies])
+        # a shared backward kernel, one per policy, and a shared forward one
+        for f_stack, b_stack in ((F, B[:1]), (F, B), (F[:1], B)):
+            got = ctx.evaluate(f_stack, b_stack)
+            singles = [
+                ctx.evaluate(f_stack[i % len(f_stack)][None], b_stack[i % len(b_stack)][None])
+                for i in range(n)
+            ]
+            for key, value in got.items():
+                want = np.concatenate([one[key] for one in singles])
+                assert np.array_equal(value, want), (trial, key, value, want)
