@@ -233,10 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--d2", type=float, required=True)
     p_sw.add_argument("--d3", type=float)
     p_sw.add_argument("--gammas", type=float, nargs="+", required=True)
-    p_sw.add_argument("--restarts", type=int, default=8)
-    p_sw.add_argument("--max-iters", type=int, default=40)
-    p_sw.add_argument("--hops", type=int, default=2)
-    p_sw.add_argument("--seed", type=int, default=0)
+    defaults = OptimizerConfig()
+    p_sw.add_argument("--restarts", type=int, default=defaults.restarts)
+    p_sw.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p_sw.add_argument("--hops", type=int, default=defaults.hops)
+    p_sw.add_argument("--seed", type=int, default=defaults.rng_seed)
     p_sw.add_argument("--cardinality", type=int, nargs=2, metavar=("NU", "NV"))
     p_sw.add_argument("--seed-policy", type=Path, action="append", default=[])
     p_sw.add_argument("--dump-policies", type=Path)

@@ -603,16 +603,17 @@ def _snap_rows(table: np.ndarray, n_in_axes: int, cutoff: float) -> np.ndarray:
 
 
 class _Search:
-    """One seeded restart of coordinate penalty descent."""
+    """One seeded restart of coordinate penalty descent.  The backward kernel
+    is ``b_exact`` when given; otherwise a row sweep searches it only when the
+    sweep starts with a d1 penalty, the one term of the objective it moves."""
 
-    def __init__(self, ctx, targets, config, theta_f, theta_b, skip_backward, b_exact=None):
+    def __init__(self, ctx, targets, config, theta_f, theta_b, b_exact=None):
         self.ctx = ctx
         self.targets = targets
         self.config = config
         self.theta_f = theta_f
         self.theta_b = theta_b
         self.b_exact = b_exact
-        self.skip_backward = skip_backward or b_exact is not None
         self.weight = _PENALTY_SCHEDULE[0]
         # 2-D views of the logits (they are contiguous), one kernel row each
         self.f_rows = theta_f.reshape(theta_f.shape[0], -1)
@@ -629,12 +630,16 @@ class _Search:
             return self.b_exact
         return _softmax(self.theta_b, self.theta_b.ndim - 1)
 
-    def _scores(self, tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
-        """The objective of a stack of logits (leading axis of length n or 1)."""
+    def _evaluate(self, tf: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, dict]:
+        """r1 and the constraint excesses of a stack of logits (leading axis of length n or 1)."""
         B = self.b_exact[None] if self.b_exact is not None else _softmax(tb, tb.ndim - 1)
         m = self.ctx.evaluate(_softmax(tf, 2), B, with_r2=False)
-        viol = _violations(m, self.targets)
-        return m["r1"] + self.weight * sum(v * v for v in viol.values())
+        return m["r1"], _violations(m, self.targets)
+
+    def _scores(self, tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
+        """The objective of a stack of logits."""
+        r1, viol = self._evaluate(tf, tb)
+        return r1 + self.weight * sum(v * v for v in viol.values())
 
     def _block_scores(self, forward: bool, rows: slice, blocks: np.ndarray) -> np.ndarray:
         """The objective with each of ``blocks`` in ``rows`` of the forward
@@ -699,7 +704,7 @@ class _Search:
                 before = base
                 for r in range(len(self.f_rows)):
                     base, self.f_steps[r] = self._improve(True, slice(r, r + 1), base, self.f_steps[r])
-                if not self.skip_backward:
+                if self.b_exact is None and self._evaluate(self.theta_f[None], self.theta_b[None])[1]["d1"][0] > 0.0:
                     for r in range(len(self.b_rows)):
                         base, self.b_steps[r] = self._improve(False, slice(r, r + 1), base, self.b_steps[r])
                 if before - base < _STEP_TOLERANCE:
@@ -716,14 +721,12 @@ class _Search:
 
 
 def _run_restart(payload):
-    ctx, targets, config, restart_idx, seed_arrays, skip_backward = payload
+    ctx, targets, config, restart_idx, seed_arrays = payload
     spec = ctx.spec
     rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, restart_idx)))
     nu, nv = _search_sizes(spec, config)
     if seed_arrays is not None:
         F0, B0 = seed_arrays
-        nu = F0.shape[2]
-        nv = B0.shape[-1]
     else:
         F0, B0 = _random_arrays(spec, nu, nv, rng)
         if restart_idx % 2 == 0:
@@ -733,7 +736,7 @@ def _run_restart(payload):
         b_exact = _identity_backward(spec, nu, nv)
     theta_f = np.log(np.maximum(F0, _SEED_FLOOR))
     theta_b = np.log(np.maximum(B0, _SEED_FLOOR))
-    search = _Search(ctx, targets, config, theta_f, theta_b, skip_backward, b_exact)
+    search = _Search(ctx, targets, config, theta_f, theta_b, b_exact)
     search.run()
     best = _judge_snapped(ctx, targets, search)
     for hop_idx in range(config.hops):
@@ -752,7 +755,7 @@ def _run_restart(payload):
         tb = _tempered(search.theta_b, search.theta_b.ndim - 1) + rng.normal(
             0.0, 1.5, search.theta_b.shape
         )
-        hop = _Search(ctx, targets, config, tf, tb, skip_backward, b_exact)
+        hop = _Search(ctx, targets, config, tf, tb, b_exact)
         hop.run(_HOP_SCHEDULE)
         cand = _judge_snapped(ctx, targets, hop)
         if _better(cand, best):
@@ -764,7 +767,7 @@ def _run_restart(payload):
         as_given = _judge(ctx, targets, F0, B0)
         if _better(as_given, best):
             best = as_given
-    return restart_idx, best
+    return best
 
 
 def _tempered(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
@@ -826,22 +829,6 @@ def _better(cand, incumbent) -> bool:
     return cand["point"].r2 < incumbent["point"].r2 - 1e-12
 
 
-def _slack_distortion_bound(spec: ProblemSpec, metric: np.ndarray) -> float:
-    """A policy-independent upper bound on the Bayes distortion of a metric."""
-    fin = np.isfinite(metric)
-    risk = np.einsum(
-        "xz,axzy,xyzk->ak",
-        spec.source.table,
-        spec.vending.table,
-        np.where(fin, metric, 0.0),
-    )
-    mass_inf = np.einsum(
-        "xz,axzy,xyzk->ak", spec.source.table, spec.vending.table, (~fin).astype(float)
-    )
-    risk = np.where(mass_inf > 0.0, np.inf, risk)
-    return float(risk.max(axis=0).min())
-
-
 def minimize_r1(
     spec: ProblemSpec,
     targets: Targets,
@@ -859,6 +846,9 @@ def minimize_r1(
     feasibility tolerance the result carries ``feasible=False`` and the
     smallest constraint residual seen.  A d3 target on a spec without a
     third node raises ``ValueError``.
+
+    At |V| >= |Y| the backward kernel relays Y, the best choice for d1 under
+    any forward kernel; at smaller |V| it is searched only while d1 binds.
     """
     if targets.gamma is None:
         raise ValueError("minimize_r1 needs a cost budget in targets.gamma")
@@ -866,19 +856,13 @@ def minimize_r1(
         raise ValueError(f"a d3 target needs a third node, but the spec mode is {spec.mode!r}")
     ctx = _EvalContext(spec)
     nu, nv = _search_sizes(spec, config)
-    skip_backward = (
-        not ctx.hb
-        and _slack_distortion_bound(spec, spec.d1) <= targets.d1 + FEASIBILITY_TOL
-    )
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
     payloads = [
-        (ctx, targets, config, i, seed_arrays[i] if i < len(seed_arrays) else None, skip_backward)
+        (ctx, targets, config, i, seed_arrays[i] if i < len(seed_arrays) else None)
         for i in range(config.restarts)
     ]
-    outcomes = fan_out(_run_restart, payloads)
-    outcomes.sort(key=lambda pair: pair[0])
     best = None
-    for _, cand in outcomes:
+    for cand in fan_out(_run_restart, payloads):
         if best is None or _better(cand, best):
             best = cand
     policy = _policy_from_arrays(spec, best["F"], best["B"])
@@ -919,10 +903,10 @@ def sweep_gamma(
 ) -> list[SweepEntry]:
     """minimize_r1 along an ascending cost-budget grid with warm starts.
 
-    Each grid point is seeded with the previous point's best policy (any
-    policy feasible at a smaller budget stays feasible at a larger one), and
-    a final lower-envelope pass carries better earlier points forward so the
-    reported r1 column is non-increasing.
+    Each grid point is seeded with the last feasible point's policy, which
+    stays feasible at a larger budget.  The seeded restart never returns
+    worse than its seed, so along the feasible points r1 is non-increasing
+    up to the 1e-12 band within which the search breaks r1 ties by r2.
     """
     if targets.gamma is not None:
         raise ValueError("sweep_gamma varies gamma; leave targets.gamma unset")
@@ -937,14 +921,4 @@ def sweep_gamma(
         entries.append(SweepEntry(gamma=g, result=result))
         if result.feasible:
             carry = [result.policy]
-    best_so_far: MinimizeResult | None = None
-    enveloped: list[SweepEntry] = []
-    for entry in entries:
-        result = entry.result
-        if result.feasible:
-            if best_so_far is not None and best_so_far.point.r1 < result.point.r1:
-                result = best_so_far
-            else:
-                best_so_far = result
-        enveloped.append(SweepEntry(gamma=entry.gamma, result=result))
-    return enveloped
+    return entries

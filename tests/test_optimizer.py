@@ -9,6 +9,7 @@ from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
 from vendingrd.region import (
     OptimizerConfig,
     Targets,
+    _EvalContext,
     minimize_r1,
     sweep_gamma,
 )
@@ -62,15 +63,13 @@ def test_search_output_is_pinned(monkeypatch, threads):
     case2 = Targets(d1=0.0, d2=0.4, gamma=0.6)
     # |V| = 2 < |Y| leaves the backward kernel to the search; |V| = 3 relays Y.
     # A slack d1 target keeps the softmaxed backward kernel out of the search.
+    node3 = with_node3_erasure_metric(spec)
     points = {
         "case2": (spec, case2, (3, 3)),
         "case2_searched_backward": (spec, case2, (3, 2)),
         "case1_slack_backward": (spec, Targets(d1=0.5, d2=0.0, gamma=0.4), (3, 2)),
-        "third_node": (
-            with_node3_erasure_metric(spec),
-            Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6),
-            (3, 3),
-        ),
+        "third_node_slack_backward": (node3, Targets(d1=0.5, d2=1.0, d3=0.6, gamma=0.6), (3, 2)),
+        "third_node": (node3, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), (3, 3)),
     }
     for name, (point_spec, targets, sizes) in points.items():
         want = pinned[name]
@@ -81,6 +80,33 @@ def test_search_output_is_pinned(monkeypatch, threads):
         assert got.point.r2 == pytest.approx(want["r2"], abs=1e-12), name
         np.testing.assert_allclose(got.policy.forward.table, want["forward"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.policy.backward.table, want["backward"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "node3,targets",
+    [(False, Targets(d1=0.1, d2=0.0, gamma=0.4)), (True, Targets(d1=0.5, d2=1.0, d3=0.6, gamma=0.6))],
+    ids=["case1", "third_node"],
+)
+def test_backward_kernel_searched_only_while_d1_binds(monkeypatch, node3, targets):
+    """At |V| = 2 < |Y| the backward kernel is searched, but only d1 reads it:
+    with a d1 target the forward kernel meets anyway, no stack of policies
+    with varied backward kernels is scored."""
+    monkeypatch.setenv("VENDINGRD_THREADS", "1")
+    spec = binary_erasure_spec(EPS)
+    if node3:
+        spec = with_node3_erasure_metric(spec)
+    varied = []
+    evaluate = _EvalContext.evaluate
+
+    def counting(self, F, B, with_r2=True):
+        varied.append(len(B) > 1)
+        return evaluate(self, F, B, with_r2)
+
+    monkeypatch.setattr(_EvalContext, "evaluate", counting)
+    config = OptimizerConfig(restarts=2, max_iters=12, hops=1, cardinality_override=(3, 2))
+    result = minimize_r1(spec, targets, config)
+    assert result.feasible
+    assert varied and not any(varied)
 
 
 def test_unreachable_target_reported_infeasible():
