@@ -14,10 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .closed_form import CASE_TAGS, ExampleCase, example_rate
@@ -32,6 +36,7 @@ from .region import (
     markov_chains,
     save_policy,
     sweep_gamma,
+    worker_count,
 )
 from .sim import SCHEMES, SimConfig, run_scheme
 
@@ -197,6 +202,10 @@ def _write_manifest(args, outputs: list[Path], duration: float) -> None:
         "rng_seeds": [args.seed] if "seed" in params else [],
         "outputs": [str(p) for p in outputs],
         "duration_seconds": round(duration, 3),
+        "workers": worker_count(),
+        "cpu_count": os.cpu_count(),
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
     }
     sidecar = Path(str(outputs[0]) + ".manifest.json")
     sidecar.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -544,11 +544,11 @@ def load_policy(path) -> Policy:
 
 # --- penalty-descent search -------------------------------------------------
 
-def fan_out(fn, payloads: list) -> list:
-    """``[fn(p) for p in payloads]``, spread over a process pool when
-    ``VENDINGRD_THREADS`` and the core count allow more than one worker."""
+def worker_count() -> int:
+    """The most worker processes a pool may start: the core count, capped
+    by ``VENDINGRD_THREADS`` when it is set."""
+    workers = os.cpu_count() or 1
     cap_raw = os.environ.get("VENDINGRD_THREADS")
-    workers = min(os.cpu_count() or 1, len(payloads))
     if cap_raw:
         try:
             cap = int(cap_raw)
@@ -557,6 +557,13 @@ def fan_out(fn, payloads: list) -> list:
         if cap < 1:
             raise ValueError(f"VENDINGRD_THREADS must be a positive integer, got {cap_raw!r}")
         workers = min(workers, cap)
+    return workers
+
+
+def fan_out(fn, payloads: list) -> list:
+    """``[fn(p) for p in payloads]``, spread over a process pool when
+    ``worker_count`` allows more than one worker."""
+    workers = min(worker_count(), len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
@@ -603,9 +610,14 @@ def _snap_rows(table: np.ndarray, n_in_axes: int, cutoff: float) -> np.ndarray:
 
 
 class _Search:
-    """One seeded restart of coordinate penalty descent.  The backward kernel
-    is ``b_exact`` when given; otherwise a row sweep searches it only when the
-    sweep starts with a d1 penalty, the one term of the objective it moves."""
+    """Coordinate penalty descent of a group of restarts, run in lockstep.
+
+    The logits carry a leading restart axis.  Each descent step scores the
+    probes of every restart it moves as one stack, and each restart follows
+    its own rules on its own values, so a restart's path is the one it
+    takes alone.  The backward kernel is ``b_exact`` when given; otherwise
+    a restart's row sweep searches it only when the sweep starts with a d1
+    penalty, the one term of the objective it moves."""
 
     def __init__(self, ctx, targets, config, theta_f, theta_b, b_exact=None):
         self.ctx = ctx
@@ -615,20 +627,18 @@ class _Search:
         self.theta_b = theta_b
         self.b_exact = b_exact
         self.weight = _PENALTY_SCHEDULE[0]
-        # 2-D views of the logits (they are contiguous), one kernel row each
-        self.f_rows = theta_f.reshape(theta_f.shape[0], -1)
-        self.b_rows = theta_b.reshape(-1, theta_b.shape[-1])
-        self.f_steps = np.ones(len(self.f_rows))
-        self.b_steps = np.ones(len(self.b_rows))
-        self.joint_step = 1.0
+        # 3-D views of the logits (they are contiguous): restart, kernel row, entry
+        n = len(theta_f)
+        self.f_rows = theta_f.reshape(n, theta_f.shape[1], -1)
+        self.b_rows = theta_b.reshape(n, -1, theta_b.shape[-1])
+        self.f_steps = np.ones(self.f_rows.shape[:2])
+        self.b_steps = np.ones(self.b_rows.shape[:2])
+        self.joint_step = np.ones(n)
 
-    def objective(self) -> float:
-        return float(self._scores(self.theta_f[None], self.theta_b[None])[0])
-
-    def current_backward(self) -> np.ndarray:
+    def current_backward(self, i: int) -> np.ndarray:
         if self.b_exact is not None:
             return self.b_exact
-        return _softmax(self.theta_b, self.theta_b.ndim - 1)
+        return _softmax(self.theta_b[i], self.theta_b.ndim - 2)
 
     def _evaluate(self, tf: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, dict]:
         """r1 and the constraint excesses of a stack of logits (leading axis of length n or 1)."""
@@ -641,133 +651,191 @@ class _Search:
         r1, viol = self._evaluate(tf, tb)
         return r1 + self.weight * sum(v * v for v in viol.values())
 
-    def _block_scores(self, forward: bool, rows: slice, blocks: np.ndarray) -> np.ndarray:
-        """The objective with each of ``blocks`` in ``rows`` of the forward
-        (or backward) logit rows, scored as one stack."""
-        stack = np.repeat((self.f_rows if forward else self.b_rows)[None], len(blocks), axis=0)
-        stack[:, rows] = blocks
+    def _block_scores(self, forward: bool, rows: slice, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """The objective with each of ``blocks[j]`` in ``rows`` of restart
+        ``idx[j]``'s forward (or backward) logit rows, scored as one stack
+        ordered by restart, then block."""
+        m = blocks.shape[1]
+        own, other = (self.f_rows, self.theta_b) if forward else (self.b_rows, self.theta_f)
+        stack = np.repeat(own[idx], m, axis=0)
+        stack[:, rows] = blocks.reshape((-1,) + blocks.shape[2:])
+        # one restart shares its other kernel across the stack
+        other = other[idx] if len(idx) == 1 else np.repeat(other[idx], m, axis=0)
         if forward:
-            return self._scores(stack.reshape((-1,) + self.theta_f.shape), self.theta_b[None])
-        return self._scores(self.theta_f[None], stack.reshape((-1,) + self.theta_b.shape))
+            return self._scores(stack.reshape((-1,) + self.theta_f.shape[1:]), other)
+        return self._scores(other, stack.reshape((-1,) + self.theta_b.shape[1:]))
 
-    def _improve(self, forward: bool, rows: slice, base, step):
+    def _improve(self, forward: bool, rows: slice, idx: np.ndarray, base: np.ndarray, steps: np.ndarray) -> None:
         """One finite-difference descent step over ``rows`` of the forward
-        (or backward) logits, seen as a 2-D array of kernel rows.
+        (or backward) logits of restarts ``idx``, seen as 2-D arrays of
+        kernel rows.  ``base`` holds every restart's objective and ``steps``
+        its step to try; both are updated in place for ``idx``.
 
         The forward-difference probes, +h on one entry each, are scored as
-        one stack.  The gradient is centred per row (softmax ignores a
-        row's shift), scaled by its largest entry, and followed by a
-        doubling/halving line search over the steps step * 2**k.  The rungs
-        k = -6..3 are scored as one stack and the search is replayed on
-        their values; higher rungs are scored only when it climbs past 3.
-        Either way the search visits what a probe-at-a-time search would.
-        Returns the new objective and the step to try next.
+        one stack.  Per restart, the gradient is centred per row (softmax
+        ignores a row's shift), scaled by its largest entry, and followed
+        by a doubling/halving line search over the steps step * 2**k.  The
+        rungs k = -6..3 are scored as one stack and each search is replayed
+        on its own values; a rung above 3 is scored, one stack across the
+        restarts that climb there, only when a search climbs past 3.  Each
+        restart visits what a probe-at-a-time search would.
         """
         h = 1e-4
-        block = (self.f_rows if forward else self.b_rows)[rows]
-        n = block.size
-        probes = np.repeat(block.reshape(1, -1), n, axis=0)
-        probes[np.arange(n), np.arange(n)] += h
-        g = (self._block_scores(forward, rows, probes.reshape((n,) + block.shape)) - base) / h
-        g = g.reshape(block.shape)
-        d = -(g - g.mean(axis=1, keepdims=True))
-        norm = np.abs(d).max()
-        if norm < 1e-13:
-            return base, step
-        d = d / norm
+        own = self.f_rows if forward else self.b_rows
+        block = own[idx, rows]
+        count, n = len(idx), block[0].size
+        probes = np.repeat(block.reshape(count, 1, n), n, axis=1)
+        probes[:, np.arange(n), np.arange(n)] += h
+        scores = self._block_scores(forward, rows, idx, probes.reshape((count, n) + block.shape[1:]))
+        g = ((scores.reshape(count, n) - base[idx, None]) / h).reshape(block.shape)
+        d = -(g - g.mean(axis=2, keepdims=True))
+        norm = np.abs(d).reshape(count, -1).max(axis=1)
+        live = ~(norm < 1e-13)
+        if not live.any():
+            return
+        idx, block, d = idx[live], block[live], d[live] / norm[live, None, None]
+        step = steps[idx]
         ks = np.arange(-6, 4)
-        rungs = self._block_scores(forward, rows, block + (step * 2.0**ks)[:, None, None] * d)
-        values = dict(zip(ks.tolist(), rungs))
-        best_val, best_k, k = base, None, 0
-        for _ in range(24):
-            if k not in values:
-                values[k] = self._block_scores(forward, rows, (block + step * 2.0**k * d)[None])[0]
-            if values[k] < best_val - 1e-15:
-                best_val, best_k = values[k], k
-                k += 1
-            elif best_k is not None or k <= -6:
-                break
-            else:
-                k -= 1
-        if best_k is None:
-            return base, max(step * 0.5, 1e-4)
-        best_s = step * 2.0**best_k
-        block += best_s * d
-        block -= block.max(axis=1, keepdims=True)
-        return best_val, best_s
+        rungs = block[:, None] + (step[:, None] * 2.0**ks)[:, :, None, None] * d[:, None]
+        scores = self._block_scores(forward, rows, idx, rungs).reshape(len(idx), -1)
+        values = [dict(zip(ks.tolist(), r)) for r in scores]
+        pending = range(len(idx))
+        while pending:
+            climb = []
+            for j in pending:
+                k, best_k, best_val = _line_search(values[j], base[idx[j]])
+                if k is not None:
+                    climb.append((j, k))
+                elif best_k is None:
+                    steps[idx[j]] = max(step[j] * 0.5, 1e-4)
+                else:
+                    steps[idx[j]] = best_s = step[j] * 2.0**best_k
+                    base[idx[j]] = best_val
+                    moved = own[idx[j], rows]
+                    moved += best_s * d[j]
+                    moved -= moved.max(axis=1, keepdims=True)
+            if climb:
+                tops = np.stack([block[j] + step[j] * 2.0**k * d[j] for j, k in climb])
+                scores = self._block_scores(forward, rows, idx[[j for j, _ in climb]], tops[:, None])
+                for (j, k), value in zip(climb, scores):
+                    values[j][k] = value
+            pending = [j for j, _ in climb]
 
     def run(self, schedule: tuple[float, ...] = _PENALTY_SCHEDULE) -> None:
+        every = np.arange(len(self.theta_f))
         for weight in schedule:
             self.weight = weight
-            base = self.objective()
+            base = self._scores(self.theta_f, self.theta_b)
+            moving = every
             for _ in range(self.config.max_iters):
-                before = base
-                for r in range(len(self.f_rows)):
-                    base, self.f_steps[r] = self._improve(True, slice(r, r + 1), base, self.f_steps[r])
-                if self.b_exact is None and self._evaluate(self.theta_f[None], self.theta_b[None])[1]["d1"][0] > 0.0:
-                    for r in range(len(self.b_rows)):
-                        base, self.b_steps[r] = self._improve(False, slice(r, r + 1), base, self.b_steps[r])
-                if before - base < _STEP_TOLERANCE:
+                before = base[moving]
+                for r in range(self.f_rows.shape[1]):
+                    self._improve(True, slice(r, r + 1), moving, base, self.f_steps[:, r])
+                if self.b_exact is None:
+                    sweep = moving[self._evaluate(self.theta_f[moving], self.theta_b[moving])[1]["d1"] > 0.0]
+                    for r in range(self.b_rows.shape[1] if len(sweep) else 0):
+                        self._improve(False, slice(r, r + 1), sweep, base, self.b_steps[:, r])
+                # a NaN decrease is not below the tolerance: the restart moves on
+                moving = moving[~(before - base[moving] < _STEP_TOLERANCE)]
+                if not len(moving):
                     break
             # Row-at-a-time descent stalls in valleys that need compensating
             # moves across forward rows (raise one action probability, lower
             # another, keep the expected cost fixed).  A joint step slides
             # along them.
+            moving = every
             for _ in range(self.config.max_iters):
-                before = base
-                base, self.joint_step = self._improve(True, slice(None), base, self.joint_step)
-                if before - base < _STEP_TOLERANCE:
+                before = base[moving]
+                self._improve(True, slice(None), moving, base, self.joint_step)
+                moving = moving[~(before - base[moving] < _STEP_TOLERANCE)]
+                if not len(moving):
                     break
 
 
-def _run_restart(payload):
-    ctx, targets, config, restart_idx, seed_arrays = payload
+def _line_search(values: dict, base: float):
+    """Replay the doubling/halving line search on the rung objectives
+    ``values`` (keyed by k).  Returns (k, None, None) when rung k is still
+    to be scored, else (None, best_k, best_val), best_k None for no decrease."""
+    best_val, best_k, k = base, None, 0
+    for _ in range(24):
+        if k not in values:
+            return k, None, None
+        if values[k] < best_val - 1e-15:
+            best_val, best_k = values[k], k
+            k += 1
+        elif best_k is not None or k <= -6:
+            break
+        else:
+            k -= 1
+    return None, best_k, best_val
+
+
+def _run_group(payload) -> list:
+    """Restarts ``indices`` in lockstep; each one's best outcome, in order.
+
+    Every restart draws from its own stream, seeded by (rng_seed, index),
+    in the order it would alone, and hops run in lockstep by hop index, so
+    each outcome is the one the restart reaches alone.
+    """
+    ctx, targets, config, indices, seed_arrays = payload
     spec = ctx.spec
-    rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, restart_idx)))
     nu, nv = _search_sizes(spec, config)
-    if seed_arrays is not None:
-        F0, B0 = seed_arrays
-    else:
-        F0, B0 = _random_arrays(spec, nu, nv, rng)
-        if restart_idx % 2 == 0:
-            F0 = _skeleton_forward(spec, nu, rng)
+    rngs, starts = [], []
+    for restart_idx, seeded in zip(indices, seed_arrays):
+        rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, restart_idx)))
+        if seeded is not None:
+            F0, B0 = seeded
+        else:
+            F0, B0 = _random_arrays(spec, nu, nv, rng)
+            if restart_idx % 2 == 0:
+                F0 = _skeleton_forward(spec, nu, rng)
+        rngs.append(rng)
+        starts.append((F0, B0))
     b_exact = None
     if nv >= len(spec.y_alpha.symbols):
         b_exact = _identity_backward(spec, nu, nv)
-    theta_f = np.log(np.maximum(F0, _SEED_FLOOR))
-    theta_b = np.log(np.maximum(B0, _SEED_FLOOR))
+    theta_f, theta_b = (np.log(np.maximum(np.stack(side), _SEED_FLOOR)) for side in zip(*starts))
     search = _Search(ctx, targets, config, theta_f, theta_b, b_exact)
     search.run()
-    best = _judge_snapped(ctx, targets, search)
+    best = [_judge_snapped(ctx, targets, search, i) for i in range(len(indices))]
     for hop_idx in range(config.hops):
         # Basin hop: soften the saturated logits, kick them, re-descend
         # through the upper penalty stages.  Row descent cannot move
         # action mass between observation symbols once a row has locked
         # in; a kick can.  Alternate between a plain noise kick and one
         # that keeps each row's description profile but redraws how the
-        # actions attach to it.
-        if hop_idx % 2 == 0:
-            tf = _tempered(search.theta_f, 1) + rng.normal(0.0, 1.5, search.theta_f.shape)
-        else:
-            profile = _tempered(search.theta_f, 1).max(axis=1, keepdims=True)
-            noise_shape = search.theta_f.shape[:2] + (1,) * (search.theta_f.ndim - 2)
-            tf = profile + rng.normal(0.0, 2.0, noise_shape)
-        tb = _tempered(search.theta_b, search.theta_b.ndim - 1) + rng.normal(
-            0.0, 1.5, search.theta_b.shape
-        )
+        # actions attach to it.  ``search`` holds each restart's best
+        # descent so far.
+        kicks = [_kick(search.theta_f[i], search.theta_b[i], hop_idx, rng) for i, rng in enumerate(rngs)]
+        tf, tb = (np.stack(side) for side in zip(*kicks))
         hop = _Search(ctx, targets, config, tf, tb, b_exact)
         hop.run(_HOP_SCHEDULE)
-        cand = _judge_snapped(ctx, targets, hop)
-        if _better(cand, best):
-            best = cand
-            search = hop
-    if seed_arrays is not None:
-        # The penalty stages may wander off a hand-crafted start; never
-        # return anything worse than the seed itself.
-        as_given = _judge(ctx, targets, F0, B0)
-        if _better(as_given, best):
-            best = as_given
+        for i in range(len(indices)):
+            cand = _judge_snapped(ctx, targets, hop, i)
+            if _better(cand, best[i]):
+                best[i] = cand
+                search.theta_f[i] = hop.theta_f[i]
+                search.theta_b[i] = hop.theta_b[i]
+    for i, seeded in enumerate(seed_arrays):
+        if seeded is not None:
+            # The penalty stages may wander off a hand-crafted start; never
+            # return anything worse than the seed itself.
+            as_given = _judge(ctx, targets, *seeded)
+            if _better(as_given, best[i]):
+                best[i] = as_given
     return best
+
+
+def _kick(theta_f: np.ndarray, theta_b: np.ndarray, hop_idx: int, rng: np.random.Generator):
+    """One restart's kicked logits for basin hop ``hop_idx``."""
+    if hop_idx % 2 == 0:
+        tf = _tempered(theta_f, 1) + rng.normal(0.0, 1.5, theta_f.shape)
+    else:
+        profile = _tempered(theta_f, 1).max(axis=1, keepdims=True)
+        noise_shape = theta_f.shape[:2] + (1,) * (theta_f.ndim - 2)
+        tf = profile + rng.normal(0.0, 2.0, noise_shape)
+    tb = _tempered(theta_b, theta_b.ndim - 1) + rng.normal(0.0, 1.5, theta_b.shape)
+    return tf, tb
 
 
 def _tempered(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
@@ -776,9 +844,10 @@ def _tempered(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
     return np.clip(shifted, -6.0, 0.0)
 
 
-def _judge_snapped(ctx, targets, search: "_Search"):
-    F = _softmax(search.theta_f, 1)
-    B = search.current_backward()
+def _judge_snapped(ctx, targets, search: "_Search", i: int):
+    """Restart ``i`` of the search, judged as found and after snapping."""
+    F = _softmax(search.theta_f[i], 1)
+    B = search.current_backward(i)
     best = _judge(ctx, targets, F, B)
     # Finite-difference descent cannot drive stray row mass much below
     # ~1e-5, which is enough to miss hard distortion targets.  Rounding
@@ -842,7 +911,11 @@ def minimize_r1(
     over ``_PENALTY_SCHEDULE``.  Restarts begin at the supplied seed policies
     and continue from Dirichlet-random ones; every restart is deterministic
     given (rng_seed, restart index) and the best feasible result wins, with
-    ties broken by restart index.  When no restart lands within the
+    ties broken by restart index.  The restarts are split into contiguous
+    groups, one per worker, and each group's restarts descend in lockstep,
+    one stacked evaluation per step for the whole group; a restart's
+    outcome does not depend on its group, so neither does the result on
+    the worker count.  When no restart lands within the
     feasibility tolerance the result carries ``feasible=False`` and the
     smallest constraint residual seen.  A d3 target on a spec without a
     third node raises ``ValueError``.
@@ -857,14 +930,14 @@ def minimize_r1(
     ctx = _EvalContext(spec)
     nu, nv = _search_sizes(spec, config)
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
-    payloads = [
-        (ctx, targets, config, i, seed_arrays[i] if i < len(seed_arrays) else None)
-        for i in range(config.restarts)
-    ]
+    seed_arrays += [None] * (config.restarts - len(seed_arrays))
+    groups = np.array_split(np.arange(config.restarts), min(worker_count(), config.restarts))
+    payloads = [(ctx, targets, config, g.tolist(), [seed_arrays[i] for i in g]) for g in groups]
     best = None
-    for cand in fan_out(_run_restart, payloads):
-        if best is None or _better(cand, best):
-            best = cand
+    for outcomes in fan_out(_run_group, payloads):
+        for cand in outcomes:
+            if best is None or _better(cand, best):
+                best = cand
     policy = _policy_from_arrays(spec, best["F"], best["B"])
     return MinimizeResult(
         point=best["point"],

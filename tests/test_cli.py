@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -212,7 +214,8 @@ def test_sweep_all_infeasible_exits_3(spec_path, capsys):
     assert all(r[-1] == "0" and r[1] == "" and r[2] == "" for r in rows)
 
 
-def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path):
+def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("VENDINGRD_THREADS", "1")
     seed = _policy_path(tmp_path, "case2", 0.6)
     out_csv = tmp_path / "sweep.csv"
     dump_dir = tmp_path / "policies"
@@ -234,6 +237,10 @@ def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path):
     assert str(out_csv) in manifest["outputs"]
     assert str(dumped) in manifest["outputs"]
     assert manifest["parameters"]["gammas"] == [0.6]
+    assert manifest["workers"] == 1
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
 
 
 def test_simulate_is_deterministic(tmp_path):

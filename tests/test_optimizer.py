@@ -9,7 +9,10 @@ from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
 from vendingrd.region import (
     OptimizerConfig,
     Targets,
+    _embed_seed,
     _EvalContext,
+    _run_group,
+    _Search,
     minimize_r1,
     sweep_gamma,
 )
@@ -64,16 +67,27 @@ def test_search_output_is_pinned(monkeypatch, threads):
     # |V| = 2 < |Y| leaves the backward kernel to the search; |V| = 3 relays Y.
     # A slack d1 target keeps the softmaxed backward kernel out of the search.
     node3 = with_node3_erasure_metric(spec)
+
+    def two_restarts(sizes):
+        return OptimizerConfig(restarts=2, max_iters=4, hops=1, cardinality_override=sizes)
+
     points = {
-        "case2": (spec, case2, (3, 3)),
-        "case2_searched_backward": (spec, case2, (3, 2)),
-        "case1_slack_backward": (spec, Targets(d1=0.5, d2=0.0, gamma=0.4), (3, 2)),
-        "third_node_slack_backward": (node3, Targets(d1=0.5, d2=1.0, d3=0.6, gamma=0.6), (3, 2)),
-        "third_node": (node3, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), (3, 3)),
+        "case2": (spec, case2, two_restarts((3, 3))),
+        "case2_searched_backward": (spec, case2, two_restarts((3, 2))),
+        "case1_slack_backward": (spec, Targets(d1=0.5, d2=0.0, gamma=0.4), two_restarts((3, 2))),
+        "third_node_slack_backward": (
+            node3, Targets(d1=0.5, d2=1.0, d3=0.6, gamma=0.6), two_restarts((3, 2))
+        ),
+        "third_node": (node3, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), two_restarts((3, 3))),
+        # one group of 8 restarts at 1 worker, two groups of 4 at 2
+        "case3_eight_restarts": (
+            spec,
+            Targets(d1=0.0, d2=0.0, gamma=0.6),
+            OptimizerConfig(restarts=8, max_iters=6, hops=2, cardinality_override=(3, 3)),
+        ),
     }
-    for name, (point_spec, targets, sizes) in points.items():
+    for name, (point_spec, targets, config) in points.items():
         want = pinned[name]
-        config = OptimizerConfig(restarts=2, max_iters=4, hops=1, cardinality_override=sizes)
         got = minimize_r1(point_spec, targets, config)
         assert got.feasible == want["feasible"], name
         assert got.point.r1 == pytest.approx(want["r1"], abs=1e-12), name
@@ -89,8 +103,10 @@ def test_search_output_is_pinned(monkeypatch, threads):
 )
 def test_backward_kernel_searched_only_while_d1_binds(monkeypatch, node3, targets):
     """At |V| = 2 < |Y| the backward kernel is searched, but only d1 reads it:
-    with a d1 target the forward kernel meets anyway, no stack of policies
-    with varied backward kernels is scored."""
+    with a d1 target the forward kernel meets anyway, no stack that varies
+    the backward kernel is scored.  A stack varies it when two of its
+    policies share a forward kernel but differ in backward kernel; a stack
+    over several restarts carries one backward kernel per restart."""
     monkeypatch.setenv("VENDINGRD_THREADS", "1")
     spec = binary_erasure_spec(EPS)
     if node3:
@@ -99,7 +115,7 @@ def test_backward_kernel_searched_only_while_d1_binds(monkeypatch, node3, target
     evaluate = _EvalContext.evaluate
 
     def counting(self, F, B, with_r2=True):
-        varied.append(len(B) > 1)
+        varied.append(_varies_backward(F, B))
         return evaluate(self, F, B, with_r2)
 
     monkeypatch.setattr(_EvalContext, "evaluate", counting)
@@ -107,6 +123,53 @@ def test_backward_kernel_searched_only_while_d1_binds(monkeypatch, node3, target
     result = minimize_r1(spec, targets, config)
     assert result.feasible
     assert varied and not any(varied)
+
+
+def _varies_backward(F, B) -> bool:
+    """Whether two policies of a stack share a forward kernel but differ in backward kernel."""
+    n = max(len(F), len(B))
+    backward_of = {}
+    for f, b in zip(np.broadcast_to(F, (n,) + F.shape[1:]), np.broadcast_to(B, (n,) + B.shape[1:])):
+        if backward_of.setdefault(f.tobytes(), b.tobytes()) != b.tobytes():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("search", ["indirect", "searched_backward", "third_node", "seeded"])
+def test_group_returns_each_restart_as_run_alone(monkeypatch, search):
+    """Restarts run in lockstep as one group return, bit for bit, what each
+    returns run alone, though their loops stop at different iterations."""
+    spec = binary_erasure_spec(EPS)
+    targets, sizes, seeds = Targets(d1=0.0, d2=0.6, gamma=0.6), (3, 3), [None] * 4
+    if search == "searched_backward":
+        # d1 binds at the start of some restarts' row sweeps only
+        targets, sizes = Targets(d1=0.05, d2=0.6, gamma=0.4), (3, 2)
+    elif search == "third_node":
+        spec = with_node3_erasure_metric(spec)
+        targets = Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6)
+    elif search == "seeded":
+        targets = Targets(d1=0.0, d2=0.4, gamma=0.6)
+        seeds[1] = _embed_seed(spec, appendixB_policy(ExampleCase("case2", EPS, 0.6)), *sizes)
+    config = OptimizerConfig(restarts=4, max_iters=6, hops=2, cardinality_override=sizes, rng_seed=3)
+    ctx = _EvalContext(spec)
+    calls = []
+    improve = _Search._improve
+
+    def recording(self, forward, rows, idx, base, steps):
+        calls.append((forward, len(idx)))
+        return improve(self, forward, rows, idx, base, steps)
+
+    monkeypatch.setattr(_Search, "_improve", recording)
+    group = _run_group((ctx, targets, config, [0, 1, 2, 3], seeds))
+    assert any(moving < 4 for _, moving in calls)
+    if search == "searched_backward":
+        # some backward sweep covers fewer restarts than the row step before it
+        assert any(not fwd and moving < prev for (_, prev), (fwd, moving) in zip(calls, calls[1:]))
+    for i, got in enumerate(group):
+        (want,) = _run_group((ctx, targets, config, [i], [seeds[i]]))
+        assert got["point"].r1 == want["point"].r1, i
+        assert np.array_equal(got["F"], want["F"]), i
+        assert np.array_equal(got["B"], want["B"]), i
 
 
 def test_unreachable_target_reported_infeasible():

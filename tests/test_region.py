@@ -476,10 +476,16 @@ def test_stacked_evaluation_matches_single():
     """
     rng = np.random.default_rng(77)
     modes = ("direct", "indirect", "heegard-berger")
-    for trial in range(300):
-        spec = _random_spec(modes[trial % 3], rng)
+    # 300 small stacks, then the sizes a lockstep group reaches: 8 restarts'
+    # 54-probe third-node joint steps and 64 restarts' 18-probe indirect ones
+    trials = [(modes[t % 3], None) for t in range(300)]
+    trials += [("heegard-berger", 432), ("indirect", 1152)] * 2
+    for trial, (mode, size) in enumerate(trials):
+        spec = _random_spec(mode, rng)
         ctx = _EvalContext(spec)
         nu, nv, n = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 21))
+        if size is not None:
+            nu, nv, n = 3, 3, size
         policies = [_sparsified(random_policy(spec, nu, nv, rng), rng) for _ in range(n)]
         F = np.stack([p.forward.table for p in policies])
         B = np.stack([p.backward.table for p in policies])
