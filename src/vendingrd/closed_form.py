@@ -161,17 +161,15 @@ def hb_case2_r1(epsilon: float, gamma: float, d3: float) -> float:
     return binary_entropy(epsilon) - s * binary_entropy(a / s)
 
 
+_CASE_RATE = {"case1": case1_r1, "case2": case2_r1, "case2_ts": case2_ts_r1, "case3": case3_r1,
+              "hb_case2": hb_case2_r1}
+
+
 def example_rate(case: ExampleCase) -> float:
-    """Dispatch an ExampleCase to its closed-form rate."""
-    if case.tag == "case1":
-        return case1_r1(case.epsilon, case.gamma)
-    if case.tag == "case2":
-        return case2_r1(case.epsilon, case.gamma)
-    if case.tag == "case2_ts":
-        return case2_ts_r1(case.epsilon, case.gamma)
-    if case.tag == "case3":
-        return case3_r1(case.epsilon, case.gamma)
-    return hb_case2_r1(case.epsilon, case.gamma, case.d3)
+    """Dispatch an ExampleCase to its closed-form rate, a function of
+    (epsilon, gamma), and of d3 for the third-node curve."""
+    levels = (case.epsilon, case.gamma) + (() if case.d3 is None else (case.d3,))
+    return _CASE_RATE[case.tag](*levels)
 
 
 def appendixB_policy(case: ExampleCase) -> Policy:

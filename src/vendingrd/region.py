@@ -473,12 +473,9 @@ class _EvalContext:
         return fin, inf_mass
 
 
-def _evaluate_one(ctx: _EvalContext, F: np.ndarray, B: np.ndarray) -> dict:
-    """The metrics of one policy, as the stack of one."""
-    return {key: float(value[0]) for key, value in ctx.evaluate(F[None], B[None]).items()}
-
-
-def _point_from_metrics(m: dict) -> OperatingPoint:
+def _point_from_metrics(stacked: dict, i: int) -> OperatingPoint:
+    """The operating point of policy ``i`` of a stack's metrics."""
+    m = {key: float(value[i]) for key, value in stacked.items()}
     d1 = np.inf if m["d1_inf_mass"] > 0.0 else m["d1"]
     d2 = np.inf if m["d2_inf_mass"] > 0.0 else m["d2"]
     d3 = None
@@ -495,8 +492,8 @@ def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
     metric of the forward kernel's reconstruction W.
     """
     _check_compatible(spec, policy)
-    metrics = _evaluate_one(_EvalContext(spec), policy.forward.table, policy.backward.table)
-    return _point_from_metrics(metrics)
+    metrics = _EvalContext(spec).evaluate(policy.forward.table[None], policy.backward.table[None])
+    return _point_from_metrics(metrics, 0)
 
 
 # --- policy serialization ---------------------------------------------------
@@ -528,10 +525,7 @@ def policy_from_document(doc: dict) -> Policy:
     w = (alphas["xhat3"],) if hb else ()
     forward = kernel_from_rows(require_field(doc, "forward", "policy"), (z,), (a, u) + w, "policy.forward")
     backward = kernel_from_rows(require_field(doc, "backward", "policy"), (a, u, y) + w, (v,), "policy.backward")
-    try:
-        return Policy(forward=forward, backward=backward)
-    except TableError as exc:
-        raise SpecFormatError(str(exc)) from None
+    return Policy(forward=forward, backward=backward)
 
 
 def save_policy(policy: Policy, path) -> None:
@@ -615,7 +609,8 @@ class _Search:
     The logits carry a leading restart axis.  Each descent step scores the
     probes of every restart it moves as one stack, and each restart follows
     its own rules on its own values, so a restart's path is the one it
-    takes alone.  The backward kernel is ``b_exact`` when given; otherwise
+    takes alone; ``base`` and ``d1`` carry the objective and d1 excess it
+    was scored at.  The backward kernel is ``b_exact`` when given; otherwise
     a restart's row sweep searches it only when the sweep starts with a d1
     penalty, the one term of the objective it moves."""
 
@@ -635,24 +630,16 @@ class _Search:
         self.b_steps = np.ones(self.b_rows.shape[:2])
         self.joint_step = np.ones(n)
 
-    def current_backward(self, i: int) -> np.ndarray:
-        if self.b_exact is not None:
-            return self.b_exact
-        return _softmax(self.theta_b[i], self.theta_b.ndim - 2)
-
-    def _evaluate(self, tf: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, dict]:
-        """r1 and the constraint excesses of a stack of logits (leading axis of length n or 1)."""
+    def _scores(self, tf: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The objective and the d1 excess of a stack of logits (leading
+        axis of length n, or 1 for a kernel the stack shares)."""
         B = self.b_exact[None] if self.b_exact is not None else _softmax(tb, tb.ndim - 1)
         m = self.ctx.evaluate(_softmax(tf, 2), B, with_r2=False)
-        return m["r1"], _violations(m, self.targets)
+        viol = _violations(m, self.targets)
+        return m["r1"] + self.weight * sum(v * v for v in viol.values()), viol["d1"]
 
-    def _scores(self, tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
-        """The objective of a stack of logits."""
-        r1, viol = self._evaluate(tf, tb)
-        return r1 + self.weight * sum(v * v for v in viol.values())
-
-    def _block_scores(self, forward: bool, rows: slice, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """The objective with each of ``blocks[j]`` in ``rows`` of restart
+    def _block_scores(self, forward: bool, rows: slice, idx: np.ndarray, blocks: np.ndarray):
+        """``_scores`` with each of ``blocks[j]`` in ``rows`` of restart
         ``idx[j]``'s forward (or backward) logit rows, scored as one stack
         ordered by restart, then block."""
         m = blocks.shape[1]
@@ -665,11 +652,11 @@ class _Search:
             return self._scores(stack.reshape((-1,) + self.theta_f.shape[1:]), other)
         return self._scores(other, stack.reshape((-1,) + self.theta_b.shape[1:]))
 
-    def _improve(self, forward: bool, rows: slice, idx: np.ndarray, base: np.ndarray, steps: np.ndarray) -> None:
+    def _improve(self, forward: bool, rows: slice, idx: np.ndarray, steps: np.ndarray) -> None:
         """One finite-difference descent step over ``rows`` of the forward
         (or backward) logits of restarts ``idx``, seen as 2-D arrays of
-        kernel rows.  ``base`` holds every restart's objective and ``steps``
-        its step to try; both are updated in place for ``idx``.
+        kernel rows.  ``steps`` holds every restart's step to try; it is
+        updated in place for ``idx``, as are ``base`` and ``d1``.
 
         The forward-difference probes, +h on one entry each, are scored as
         one stack.  Per restart, the gradient is centred per row (softmax
@@ -678,7 +665,9 @@ class _Search:
         rungs k = -6..3 are scored as one stack and each search is replayed
         on its own values; a rung above 3 is scored, one stack across the
         restarts that climb there, only when a search climbs past 3.  Each
-        restart visits what a probe-at-a-time search would.
+        restart visits what a probe-at-a-time search would.  The accepted
+        rung is stored minus its row maxima, which softmax subtracts anyway,
+        so its scores stay those of the stored logits.
         """
         h = 1e-4
         own = self.f_rows if forward else self.b_rows
@@ -686,8 +675,8 @@ class _Search:
         count, n = len(idx), block[0].size
         probes = np.repeat(block.reshape(count, 1, n), n, axis=1)
         probes[:, np.arange(n), np.arange(n)] += h
-        scores = self._block_scores(forward, rows, idx, probes.reshape((count, n) + block.shape[1:]))
-        g = ((scores.reshape(count, n) - base[idx, None]) / h).reshape(block.shape)
+        scores, _ = self._block_scores(forward, rows, idx, probes.reshape((count, n) + block.shape[1:]))
+        g = ((scores.reshape(count, n) - self.base[idx, None]) / h).reshape(block.shape)
         d = -(g - g.mean(axis=2, keepdims=True))
         norm = np.abs(d).reshape(count, -1).max(axis=1)
         live = ~(norm < 1e-13)
@@ -697,59 +686,60 @@ class _Search:
         step = steps[idx]
         ks = np.arange(-6, 4)
         rungs = block[:, None] + (step[:, None] * 2.0**ks)[:, :, None, None] * d[:, None]
-        scores = self._block_scores(forward, rows, idx, rungs).reshape(len(idx), -1)
-        values = [dict(zip(ks.tolist(), r)) for r in scores]
+        rung_scores = self._block_scores(forward, rows, idx, rungs)
+        values, excess = ([dict(zip(ks.tolist(), r)) for r in a.reshape(len(idx), -1)] for a in rung_scores)
         pending = range(len(idx))
         while pending:
             climb = []
             for j in pending:
-                k, best_k, best_val = _line_search(values[j], base[idx[j]])
+                k, best_k, best_val = _line_search(values[j], self.base[idx[j]])
                 if k is not None:
                     climb.append((j, k))
                 elif best_k is None:
                     steps[idx[j]] = max(step[j] * 0.5, 1e-4)
                 else:
                     steps[idx[j]] = best_s = step[j] * 2.0**best_k
-                    base[idx[j]] = best_val
+                    self.base[idx[j]] = best_val
+                    self.d1[idx[j]] = excess[j][best_k]
                     moved = own[idx[j], rows]
                     moved += best_s * d[j]
                     moved -= moved.max(axis=1, keepdims=True)
             if climb:
                 tops = np.stack([block[j] + step[j] * 2.0**k * d[j] for j, k in climb])
-                scores = self._block_scores(forward, rows, idx[[j for j, _ in climb]], tops[:, None])
-                for (j, k), value in zip(climb, scores):
-                    values[j][k] = value
+                scores, d1 = self._block_scores(forward, rows, idx[[j for j, _ in climb]], tops[:, None])
+                for (j, k), value, e in zip(climb, scores, d1):
+                    values[j][k], excess[j][k] = value, e
             pending = [j for j, _ in climb]
 
+    def _descend(self, step) -> None:
+        """Apply ``step`` to the restarts still moving, up to ``max_iters`` times."""
+        moving = np.arange(len(self.theta_f))
+        for _ in range(self.config.max_iters):
+            before = self.base[moving]
+            step(moving)
+            # a NaN decrease is not below the tolerance: the restart moves on
+            moving = moving[~(before - self.base[moving] < _STEP_TOLERANCE)]
+            if not len(moving):
+                break
+
+    def _sweep_rows(self, moving: np.ndarray) -> None:
+        for r in range(self.f_rows.shape[1]):
+            self._improve(True, slice(r, r + 1), moving, self.f_steps[:, r])
+        if self.b_exact is None:
+            sweep = moving[self.d1[moving] > 0.0]
+            for r in range(self.b_rows.shape[1] if len(sweep) else 0):
+                self._improve(False, slice(r, r + 1), sweep, self.b_steps[:, r])
+
     def run(self, schedule: tuple[float, ...] = _PENALTY_SCHEDULE) -> None:
-        every = np.arange(len(self.theta_f))
         for weight in schedule:
             self.weight = weight
-            base = self._scores(self.theta_f, self.theta_b)
-            moving = every
-            for _ in range(self.config.max_iters):
-                before = base[moving]
-                for r in range(self.f_rows.shape[1]):
-                    self._improve(True, slice(r, r + 1), moving, base, self.f_steps[:, r])
-                if self.b_exact is None:
-                    sweep = moving[self._evaluate(self.theta_f[moving], self.theta_b[moving])[1]["d1"] > 0.0]
-                    for r in range(self.b_rows.shape[1] if len(sweep) else 0):
-                        self._improve(False, slice(r, r + 1), sweep, base, self.b_steps[:, r])
-                # a NaN decrease is not below the tolerance: the restart moves on
-                moving = moving[~(before - base[moving] < _STEP_TOLERANCE)]
-                if not len(moving):
-                    break
+            self.base, self.d1 = self._scores(self.theta_f, self.theta_b)
+            self._descend(self._sweep_rows)
             # Row-at-a-time descent stalls in valleys that need compensating
             # moves across forward rows (raise one action probability, lower
             # another, keep the expected cost fixed).  A joint step slides
             # along them.
-            moving = every
-            for _ in range(self.config.max_iters):
-                before = base[moving]
-                self._improve(True, slice(None), moving, base, self.joint_step)
-                moving = moving[~(before - base[moving] < _STEP_TOLERANCE)]
-                if not len(moving):
-                    break
+            self._descend(lambda moving: self._improve(True, slice(None), moving, self.joint_step))
 
 
 def _line_search(values: dict, base: float):
@@ -797,7 +787,7 @@ def _run_group(payload) -> list:
     theta_f, theta_b = (np.log(np.maximum(np.stack(side), _SEED_FLOOR)) for side in zip(*starts))
     search = _Search(ctx, targets, config, theta_f, theta_b, b_exact)
     search.run()
-    best = [_judge_snapped(ctx, targets, search, i) for i in range(len(indices))]
+    best = _judge_snapped(ctx, targets, search)
     for hop_idx in range(config.hops):
         # Basin hop: soften the saturated logits, kick them, re-descend
         # through the upper penalty stages.  Row descent cannot move
@@ -810,8 +800,7 @@ def _run_group(payload) -> list:
         tf, tb = (np.stack(side) for side in zip(*kicks))
         hop = _Search(ctx, targets, config, tf, tb, b_exact)
         hop.run(_HOP_SCHEDULE)
-        for i in range(len(indices)):
-            cand = _judge_snapped(ctx, targets, hop, i)
+        for i, cand in enumerate(_judge_snapped(ctx, targets, hop)):
             if _better(cand, best[i]):
                 best[i] = cand
                 search.theta_f[i] = hop.theta_f[i]
@@ -820,7 +809,7 @@ def _run_group(payload) -> list:
         if seeded is not None:
             # The penalty stages may wander off a hand-crafted start; never
             # return anything worse than the seed itself.
-            as_given = _judge(ctx, targets, *seeded)
+            (as_given,) = _judge(ctx, targets, *(side[None] for side in seeded))
             if _better(as_given, best[i]):
                 best[i] = as_given
     return best
@@ -844,24 +833,19 @@ def _tempered(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
     return np.clip(shifted, -6.0, 0.0)
 
 
-def _judge_snapped(ctx, targets, search: "_Search", i: int):
-    """Restart ``i`` of the search, judged as found and after snapping."""
-    F = _softmax(search.theta_f[i], 1)
-    B = search.current_backward(i)
+def _judge_snapped(ctx, targets, search: "_Search") -> list:
+    """Each restart of the search, judged as found and after snapping, one
+    stack per candidate: two candidates of a restart may differ in B alone."""
+    F = _softmax(search.theta_f, 2)
+    B = search.b_exact[None] if search.b_exact is not None else _softmax(search.theta_b, search.theta_b.ndim - 1)
     best = _judge(ctx, targets, F, B)
     # Finite-difference descent cannot drive stray row mass much below
     # ~1e-5, which is enough to miss hard distortion targets.  Rounding
     # small entries away restores exact corners; try a few thresholds and
     # keep whichever evaluation judges best.
     for cutoff in _SNAP_THRESHOLDS:
-        snapped = _judge(
-            ctx,
-            targets,
-            _snap_rows(F, 1, cutoff),
-            _snap_rows(B, B.ndim - 1, cutoff),
-        )
-        if _better(snapped, best):
-            best = snapped
+        snapped = _judge(ctx, targets, _snap_rows(F, 2, cutoff), _snap_rows(B, B.ndim - 1, cutoff))
+        best = [cand if _better(cand, inc) else inc for cand, inc in zip(snapped, best)]
     return best
 
 
@@ -872,19 +856,23 @@ def _search_sizes(spec, config) -> tuple[int, int]:
     return default_cardinalities(spec)
 
 
-def _judge(ctx, targets, F, B):
-    m = _evaluate_one(ctx, F, B)
-    point = _point_from_metrics(m)
-    residuals = _true_residuals(point, targets)
-    worst = max(residuals.values())
-    return {
-        "F": F,
-        "B": B,
-        "point": point,
-        "residuals": residuals,
-        "worst": worst,
-        "feasible": worst <= FEASIBILITY_TOL,
-    }
+def _judge(ctx, targets, F, B) -> list:
+    """Each policy of a stack judged against the targets; B may be shared."""
+    m = ctx.evaluate(F, B)
+    judged = []
+    for i in range(len(F)):
+        point = _point_from_metrics(m, i)
+        residuals = _true_residuals(point, targets)
+        worst = max(residuals.values())
+        judged.append({
+            "F": F[i],
+            "B": B[i % len(B)],
+            "point": point,
+            "residuals": residuals,
+            "worst": worst,
+            "feasible": worst <= FEASIBILITY_TOL,
+        })
+    return judged
 
 
 def _better(cand, incumbent) -> bool:

@@ -15,12 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_form import case1_r1, case2_ts_r1, case3_r1
+from .closed_form import ExampleCase, example_rate
 from .region import fan_out
 
 SCHEMES = ("case1", "case2_ts", "case3")
-
-_SCHEME_RATE = {"case1": case1_r1, "case2_ts": case2_ts_r1, "case3": case3_r1}
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class SimConfig:
     @property
     def target_rate(self) -> float:
         """The forward rate this scheme approaches as the block grows."""
-        return _SCHEME_RATE[self.scheme](self.epsilon, self.gamma)
+        return example_rate(ExampleCase(self.scheme, self.epsilon, self.gamma))
 
 
 @dataclass(frozen=True)

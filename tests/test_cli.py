@@ -1,12 +1,13 @@
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vendingrd.cli import main
-from vendingrd.closed_form import ExampleCase, appendixB_policy, case1_r1, hb_case2_r1
+from vendingrd.closed_form import ExampleCase, appendixB_policy, case1_r1, hb_abstention_cost, hb_case2_r1
 from vendingrd.model import binary_erasure_spec, save_spec, with_node3_erasure_metric
 from vendingrd.probability import Alphabet, Kernel
 from vendingrd.region import Policy, load_policy, save_policy
@@ -78,11 +79,16 @@ def test_closed_form_flag_validation(capsys):
     assert main(["closed-form", "--case", "case1", "--epsilon", "1.5"]) == 2
     assert main(["closed-form", "--case", "hb_case2", "--epsilon", "0.2"]) == 2
     assert main(["closed-form", "--case", "case2", "--epsilon", "0.2", "--d3", "0.4"]) == 2
+    assert main(["closed-form", "--case", "case1", "--d3", "0.4"]) == 2
+    assert main(["closed-form", "--case", "case1", "--gamma", "1.5"]) == 2
     for bad in ("nan", "inf"):
         argv = ["closed-form", "--case", "hb_case2", "--epsilon", "0.2", "--gamma", "0.3", "0.6"]
         assert main(argv + ["--d3", bad]) == 2
         assert main(["closed-form", "--preset", "fig6", "--gamma", "0.6", "--d3", bad]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 9 and all(line.startswith("error: ") for line in errors)
 
 
 def test_sweep_rejects_non_finite_targets(spec_path, capsys):
@@ -127,6 +133,22 @@ def test_evaluate_rejects_mismatched_policy(spec_path, tmp_path, capsys):
     save_policy(policy, path)
     assert main(["evaluate", "--spec", str(spec_path), "--policy", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # the right shape, but z has a symbol the spec does not know
+    ref = appendixB_policy(ExampleCase("case1", EPS, 0.4))
+    z = Alphabet("z", ("0", "1", "x"))
+    save_policy(Policy(Kernel((z,), ref.forward.outputs, ref.forward.table), ref.backward), path)
+    assert main(["evaluate", "--spec", str(spec_path), "--policy", str(path)]) == 2
+    assert "z alphabet" in capsys.readouterr().err
+
+
+def test_evaluate_reports_third_node_distortion(capsys):
+    data = Path(__file__).parent / "data"
+    argv = ["evaluate", "--spec", str(data / "spec_erasure_node3.json")]
+    argv += ["--policy", str(data / "policy_node3.json")]
+    assert main(argv) == 0
+    (d3,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("d3 = ")]
+    # the policy abstains w.p. 0.3, 0.2, 0.9 on (A=1, Z=e), (A=0, Z binary), (A=1, Z binary)
+    assert float(d3[5:]) == pytest.approx(hb_abstention_cost(EPS, 0.6, 0.3, 0.2, 0.9), abs=1e-12)
 
 
 def test_evaluate_missing_file(spec_path, tmp_path, capsys):

@@ -179,3 +179,46 @@ def test_seventeen_digit_strings(tmp_path):
     assert float(raw) == (1 / 3) / 2
     text = json.dumps(doc)
     assert "inf" not in text.replace('"inf"', "")
+
+
+def _direct_document():
+    """A direct-mode spec document: Z copies a uniform bit X and Y is blank."""
+    return {
+        "mode": "direct",
+        "alphabets": {
+            "x": ["0", "1"], "z": ["0", "1"], "y": ["-"], "a": ["0"], "xhat1": ["0", "1"], "xhat2": ["0", "1"],
+        },
+        "source": {"vars": ["x", "z"], "table": {"0,0": "0.5", "1,1": "0.5"}},
+        "vending": {f"0,{x},{z}": {"-": "1"} for x in "01" for z in "01"},
+        "cost": {"0": "0"},
+        "metrics": {"d1": [], "d2": []},
+    }
+
+
+# Each case edits one field of a valid spec document into one the reader must
+# reject: (base document, path to the field, new value, text the error names).
+SPEC_REJECTS = {
+    "unknown_mode": ("erasure", ("mode",), "bogus", "unknown mode"),
+    "negative_cost": ("erasure", ("cost", "1"), "-1", "cost"),
+    "direct_mass_off_diagonal": ("direct", ("source", "table"), {"0,0": "0.5", "0,1": "0.5"}, "z = x"),
+    "negative_metric_cell": ("erasure", ("metrics", "d1"), [["0,0,0,1", "-1"]], "d1"),
+    "unknown_symbol_key": ("erasure", ("source", "table", "2,0"), "0.1", "source.table"),
+    "metrics_as_object": ("erasure", ("metrics", "d2"), {"0,0,0,1": "1"}, "metrics.d2"),
+    "alphabet_not_strings": ("erasure", ("alphabets", "x"), [0, 1], "alphabets.x"),
+    "duplicate_symbols": ("erasure", ("alphabets", "y"), ["0", "0", "phi"], "repeated"),
+    "wrong_source_vars": ("erasure", ("source", "vars"), ["z", "x"], "source.vars"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_REJECTS))
+def test_loader_rejects_invalid_spec_documents(case):
+    base, path, value, named = SPEC_REJECTS[case]
+    doc = _direct_document() if base == "direct" else spec_to_document(binary_erasure_spec(0.2))
+    spec_from_document(doc)
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_document(doc)
+    assert named in str(err.value)

@@ -11,8 +11,12 @@ from vendingrd.region import (
     Targets,
     _embed_seed,
     _EvalContext,
+    _identity_backward,
+    _random_arrays,
     _run_group,
     _Search,
+    default_cardinalities,
+    evaluate_point,
     minimize_r1,
     sweep_gamma,
 )
@@ -155,9 +159,9 @@ def test_group_returns_each_restart_as_run_alone(monkeypatch, search):
     calls = []
     improve = _Search._improve
 
-    def recording(self, forward, rows, idx, base, steps):
+    def recording(self, forward, rows, idx, steps):
         calls.append((forward, len(idx)))
-        return improve(self, forward, rows, idx, base, steps)
+        return improve(self, forward, rows, idx, steps)
 
     monkeypatch.setattr(_Search, "_improve", recording)
     group = _run_group((ctx, targets, config, [0, 1, 2, 3], seeds))
@@ -170,6 +174,38 @@ def test_group_returns_each_restart_as_run_alone(monkeypatch, search):
         assert got["point"].r1 == want["point"].r1, i
         assert np.array_equal(got["F"], want["F"]), i
         assert np.array_equal(got["B"], want["B"]), i
+
+
+@pytest.mark.parametrize("node3", [False, True], ids=["binding_d1", "third_node"])
+def test_search_carries_objective_and_d1(node3):
+    """After a run, each restart's carried objective and d1 excess are, bit
+    for bit, what its stored logits score."""
+    spec = binary_erasure_spec(EPS)
+    targets, sizes, b_exact = Targets(d1=0.05, d2=0.6, gamma=0.4), (3, 2), None
+    if node3:
+        spec = with_node3_erasure_metric(spec)
+        targets, sizes = Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), (3, 3)
+        b_exact = _identity_backward(spec, *sizes)
+    config = OptimizerConfig(restarts=4, max_iters=6, cardinality_override=sizes)
+    rng = np.random.default_rng(0)
+    starts = [_random_arrays(spec, *sizes, rng) for _ in range(config.restarts)]
+    theta_f, theta_b = (np.log(np.stack(side)) for side in zip(*starts))
+    search = _Search(_EvalContext(spec), targets, config, theta_f, theta_b.copy(), b_exact)
+    search.run()
+    # with a d1 target the start misses, the backward kernel is searched
+    assert node3 or not np.array_equal(search.theta_b, theta_b)
+    base, d1 = search._scores(search.theta_f, search.theta_b)
+    assert np.array_equal(search.base, base)
+    assert np.array_equal(search.d1, d1)
+
+
+def test_default_cardinality_search():
+    spec = binary_erasure_spec(EPS)
+    config = OptimizerConfig(restarts=1, max_iters=1, hops=0)
+    result = minimize_r1(spec, Targets(d1=0.0, d2=0.6, gamma=0.6), config)
+    sizes = (len(result.policy.u_alpha), len(result.policy.v_alpha))
+    assert sizes == default_cardinalities(spec) == (9, 16)
+    assert evaluate_point(spec, result.policy) == result.point
 
 
 def test_unreachable_target_reported_infeasible():
