@@ -38,7 +38,7 @@ from .region import (
     sweep_gamma,
     worker_count,
 )
-from .sim import SCHEMES, SimConfig, run_scheme
+from .sim import SCHEMES, SimConfig, run_scheme, trial_workers
 
 FIG4_CASES = ("case1", "case2", "case2_ts", "case3")
 FIG6_D3_LEVELS = (0.4, 0.6, 0.8, 1.0)
@@ -165,8 +165,8 @@ def cmd_sweep(args) -> tuple[list[str], int, list[Path]]:
 
 # --- simulations -----------------------------------------------------------
 
-def cmd_simulate(args) -> tuple[list[str], int]:
-    config = SimConfig(
+def _sim_config(args) -> SimConfig:
+    return SimConfig(
         scheme=args.scheme,
         n=args.n,
         epsilon=args.epsilon,
@@ -174,7 +174,10 @@ def cmd_simulate(args) -> tuple[list[str], int]:
         rng_seed=args.seed,
         trials=args.trials,
     )
-    row = run_scheme(config).csv_row()
+
+
+def cmd_simulate(args) -> tuple[list[str], int]:
+    row = run_scheme(_sim_config(args)).csv_row()
     lines = [",".join(row), ",".join(_fmt(v) if not isinstance(v, str) else v for v in row.values())]
     return lines, 0
 
@@ -187,6 +190,16 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _workers_used(args) -> int:
+    """The worker processes the command ran on: tables and reports run
+    in-process."""
+    if args.command == "simulate":
+        return trial_workers(_sim_config(args))
+    if args.command == "sweep":
+        return min(worker_count(), args.restarts)
+    return 1
 
 
 def _write_manifest(args, outputs: list[Path], duration: float) -> None:
@@ -202,7 +215,7 @@ def _write_manifest(args, outputs: list[Path], duration: float) -> None:
         "rng_seeds": [args.seed] if "seed" in params else [],
         "outputs": [str(p) for p in outputs],
         "duration_seconds": round(duration, 3),
-        "workers": worker_count(),
+        "workers": _workers_used(args),
         "cpu_count": os.cpu_count(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),

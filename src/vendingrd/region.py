@@ -383,7 +383,9 @@ class _EvalContext:
         self.hz = _entropy_of(self.pz[None])[0]
         self.cost = spec.cost
         SV = S[None, :, :, None] * spec.vending.table
-        self.SV = SV
+        # sum_x p(x, z) p(y | a, x, z) on the (z, a, u, w, y) axes; F does not
+        # depend on x, so p(z, a, u, w, y) is F times this, a broadcast
+        self.pzay = SV.sum(axis=1).transpose(1, 0, 2)[:, :, None, None, :]
         self.c1_fin, self.c1_inf = self._metric_terms(SV, spec.d1)
         self.c2_fin, self.c2_inf = self._metric_terms(SV, spec.d2)
         if self.hb:
@@ -411,7 +413,7 @@ class _EvalContext:
         pzaw = pzauw.sum(axis=3)
         pza = pzaw.sum(axis=3)
         gamma = (pza.sum(axis=1) * self.cost).sum(axis=1)
-        pzauwy = np.einsum("axzy,nzauw->nzauwy", self.SV, F)
+        pzauwy = F[..., None] * self.pzay
         pzawy = pzauwy.sum(axis=3)
         h_zauwy = _entropy_of(pzauwy)
         # I(Z; A, W) + I(Z; U | A, W, Y)
@@ -554,10 +556,9 @@ def worker_count() -> int:
     return workers
 
 
-def fan_out(fn, payloads: list) -> list:
-    """``[fn(p) for p in payloads]``, spread over a process pool when
-    ``worker_count`` allows more than one worker."""
-    workers = min(worker_count(), len(payloads))
+def fan_out(fn, payloads: list, workers: int) -> list:
+    """``[fn(p) for p in payloads]``, spread over a pool of ``workers``
+    processes when that is more than one."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
@@ -919,10 +920,11 @@ def minimize_r1(
     nu, nv = _search_sizes(spec, config)
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
     seed_arrays += [None] * (config.restarts - len(seed_arrays))
-    groups = np.array_split(np.arange(config.restarts), min(worker_count(), config.restarts))
+    workers = min(worker_count(), config.restarts)
+    groups = np.array_split(np.arange(config.restarts), workers)
     payloads = [(ctx, targets, config, g.tolist(), [seed_arrays[i] for i in g]) for g in groups]
     best = None
-    for outcomes in fan_out(_run_group, payloads):
+    for outcomes in fan_out(_run_group, payloads, workers):
         for cand in outcomes:
             if best is None or _better(cand, best):
                 best = cand

@@ -282,6 +282,19 @@ def test_simulate_is_deterministic(tmp_path):
     assert float(cells[5]) == pytest.approx(case1_r1(EPS, 0.4), abs=0.01)
 
 
+def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):
+    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+    out_csv = tmp_path / "short.csv"
+    flags = [
+        "simulate", "--scheme", "case3", "--n", "1000", "--epsilon", "0.2",
+        "--gamma", "0.6", "--trials", "20", "--output", str(out_csv),
+    ]
+    assert main(flags) == 0
+    manifest = json.loads((tmp_path / "short.csv.manifest.json").read_text())
+    assert manifest["command"] == "simulate"
+    assert manifest["workers"] == 1
+
+
 def test_simulate_exit_codes(capsys):
     assert main(["simulate", "--scheme", "case3", "--n", "100", "--epsilon", "0.2", "--gamma", "0.1"]) == 3
     assert main(["simulate", "--scheme", "case1", "--n", "0", "--epsilon", "0.2", "--gamma", "0.4"]) == 2

@@ -1,11 +1,22 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
+from vendingrd import region
 from vendingrd.closed_form import case1_r1, case3_r1
 from vendingrd.model import InfeasibleError
 from vendingrd.probability import binary_entropy
-from vendingrd.sim import SimConfig, SimResult, convergence_table, enumerative_bits, run_scheme
+from vendingrd.region import worker_count
+from vendingrd.sim import (
+    POOL_MIN_SYMBOLS,
+    SimConfig,
+    SimResult,
+    convergence_table,
+    enumerative_bits,
+    run_scheme,
+    trial_workers,
+)
 
 
 def test_enumerative_bits_small_values():
@@ -103,6 +114,37 @@ def test_trial_streams_do_not_depend_on_trial_count():
     many = run_scheme(SimConfig("case3", 2000, 0.2, 0.6, rng_seed=2, trials=3))
     assert many.forward_bits[0] == few.forward_bits[0]
     assert many.erasure_counts[0] == few.erasure_counts[0]
+
+
+def test_trial_workers_split_at_the_crossover(monkeypatch):
+    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+    pooled = worker_count()
+    assert trial_workers(SimConfig("case3", 1000, 0.2, 0.6, trials=20)) == 1
+    assert trial_workers(SimConfig("case3", 10**6, 0.2, 0.6, trials=8)) == pooled
+    edge = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, trials=4)
+    assert trial_workers(edge) == pooled
+    assert trial_workers(replace(edge, n=edge.n - 1)) == 1
+
+
+def test_short_runs_start_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a short simulation started a process pool")
+
+    monkeypatch.setattr(region, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+    result = run_scheme(SimConfig("case3", 1000, 0.2, 0.6, rng_seed=1, trials=20))
+    assert len(result.forward_bits) == 20
+
+
+def test_pooled_runs_equal_in_process_runs(monkeypatch):
+    config = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, rng_seed=5, trials=4)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VENDINGRD_THREADS", threads)
+        results.append(run_scheme(config))
+    in_process, pooled = results
+    for field in fields(SimResult):
+        assert getattr(in_process, field.name) == getattr(pooled, field.name), field.name
 
 
 def test_no_erasures_gives_exact_bit_counts():
