@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 for input errors, 3 for infeasible problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -224,6 +225,9 @@ def _write_manifest(args, outputs: list[Path], duration: float) -> None:
     sidecar.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+# Built once per process: building takes about 0.8 ms, most of a short
+# command, against 0.05 ms to parse, and parse_args leaves the parser as it is.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vendingrd",

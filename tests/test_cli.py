@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vendingrd.cli import main
+from vendingrd.cli import _build_parser, main
 from vendingrd.closed_form import ExampleCase, appendixB_policy, case1_r1, hb_abstention_cost, hb_case2_r1
 from vendingrd.model import binary_erasure_spec, save_spec, with_node3_erasure_metric
 from vendingrd.probability import Alphabet, Kernel
-from vendingrd.region import Policy, load_policy, save_policy
+from vendingrd.region import OptimizerConfig, Policy, load_policy, save_policy
 
 EPS = 0.2
 
@@ -293,6 +293,21 @@ def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "short.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["workers"] == 1
+
+
+def test_parser_reuse_carries_nothing_between_commands(spec_path, tmp_path):
+    parser = _build_parser()
+    assert _build_parser() is parser
+    seed = tmp_path / "seed.json"
+    sweep = ["sweep", "--spec", str(spec_path), "--d1", "0.1", "--d2", "0", "--gammas", "0.6"]
+    first = parser.parse_args(sweep + ["--seed-policy", str(seed), "--restarts", "2"])
+    again = parser.parse_args(sweep)
+    assert first.seed_policy == [seed] and first.restarts == 2
+    assert again.seed_policy == [] and again.restarts == OptimizerConfig().restarts
+    simulate = ["simulate", "--scheme", "case1", "--n", "100", "--epsilon", "0.2", "--gamma", "0.4"]
+    assert parser.parse_args(simulate + ["--seed", "5", "--trials", "3"]).seed == 5
+    fresh = parser.parse_args(simulate)
+    assert (fresh.seed, fresh.trials, fresh.output) == (0, 1, None)
 
 
 def test_simulate_exit_codes(capsys):
