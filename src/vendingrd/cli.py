@@ -194,8 +194,8 @@ def _jsonable(value):
 
 
 def _workers_used(args) -> int:
-    """The worker processes the command ran on: tables and reports run
-    in-process."""
+    """The workers the command ran on: simulate's trial threads, sweep's
+    restart processes; tables and reports run in-process."""
     if args.command == "simulate":
         return trial_workers(_sim_config(args))
     if args.command == "sweep":

@@ -541,8 +541,8 @@ def load_policy(path) -> Policy:
 # --- penalty-descent search -------------------------------------------------
 
 def worker_count() -> int:
-    """The most worker processes a pool may start: the core count, capped
-    by ``VENDINGRD_THREADS`` when it is set."""
+    """The most workers a pool may start, restart processes or simulation
+    threads: the core count, capped by ``VENDINGRD_THREADS`` when it is set."""
     workers = os.cpu_count() or 1
     cap_raw = os.environ.get("VENDINGRD_THREADS")
     if cap_raw:
@@ -554,15 +554,6 @@ def worker_count() -> int:
             raise ValueError(f"VENDINGRD_THREADS must be a positive integer, got {cap_raw!r}")
         workers = min(workers, cap)
     return workers
-
-
-def fan_out(fn, payloads: list, workers: int) -> list:
-    """``[fn(p) for p in payloads]``, spread over a pool of ``workers``
-    processes when that is more than one."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
 
 
 def _softmax(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
@@ -923,8 +914,13 @@ def minimize_r1(
     workers = min(worker_count(), config.restarts)
     groups = np.array_split(np.arange(config.restarts), workers)
     payloads = [(ctx, targets, config, g.tolist(), [seed_arrays[i] for i in g]) for g in groups]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            group_outcomes = list(pool.map(_run_group, payloads))
+    else:
+        group_outcomes = [_run_group(p) for p in payloads]
     best = None
-    for outcomes in fan_out(_run_group, payloads, workers):
+    for outcomes in group_outcomes:
         for cand in outcomes:
             if best is None or _better(cand, best):
                 best = cand

@@ -282,6 +282,20 @@ def test_simulate_is_deterministic(tmp_path):
     assert float(cells[5]) == pytest.approx(case1_r1(EPS, 0.4), abs=0.01)
 
 
+def test_simulate_prints_readme_row(capsys):
+    # freezes the simulation streams: README prints this row
+    row = "case1,100000,0.2,0.4,10,1.122272,0,0.100312,0,0.4,0"
+    assert row in (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert main([
+        "simulate", "--scheme", "case1", "--n", "100000", "--epsilon", "0.2",
+        "--gamma", "0.4", "--seed", "7", "--trials", "10",
+    ]) == 0
+    header, printed = capsys.readouterr().out.strip().splitlines()
+    assert header == "scheme,n,epsilon,gamma,trials,r1_hat,r2_hat,d1_hat,d2_hat,cost_hat,semi_analytic"
+    assert printed == row
+    assert printed.split(",")[5] == "1.122272"
+
+
 def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):
     monkeypatch.setenv("VENDINGRD_THREADS", "2")
     out_csv = tmp_path / "short.csv"

@@ -1,9 +1,10 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from vendingrd import region
+from vendingrd import region, sim
 from vendingrd.closed_form import case1_r1, case3_r1
 from vendingrd.model import InfeasibleError
 from vendingrd.probability import binary_entropy
@@ -128,12 +129,23 @@ def test_trial_workers_split_at_the_crossover(monkeypatch):
 
 def test_short_runs_start_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a short simulation started a process pool")
+        raise AssertionError("a short simulation started a thread pool")
 
-    monkeypatch.setattr(region, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
     monkeypatch.setenv("VENDINGRD_THREADS", "2")
     result = run_scheme(SimConfig("case3", 1000, 0.2, 0.6, rng_seed=1, trials=20))
     assert len(result.forward_bits) == 20
+
+
+def test_long_runs_fork_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a simulation started a process pool")
+
+    monkeypatch.setattr(region, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+    config = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, rng_seed=1, trials=4)
+    assert trial_workers(config) == worker_count()
+    assert len(run_scheme(config).forward_bits) == 4
 
 
 def test_pooled_runs_equal_in_process_runs(monkeypatch):
@@ -145,6 +157,53 @@ def test_pooled_runs_equal_in_process_runs(monkeypatch):
     in_process, pooled = results
     for field in fields(SimResult):
         assert getattr(in_process, field.name) == getattr(pooled, field.name), field.name
+
+
+def _reference_counts(config, t):
+    """Trial t's six counts from whole-array draws of its Philox stream."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.rng_seed, t))))
+    x = rng.integers(0, 2, size=config.n, dtype=np.int64)
+    erased = rng.random(config.n) < config.epsilon
+    n, k = config.n, int(erased.sum())
+    m = n - k
+    budget = math.floor(n * config.gamma + 1e-9)
+    if config.scheme == "case1":
+        described = max(m - budget, 0)
+        return enumerative_bits(n, k) + described, 0, m - described, k, int(x[erased].sum()), 0
+    if config.scheme == "case3":
+        measured = min(k, budget)
+        described = max(m - (budget - measured), 0)
+        d1_err = int(x[np.flatnonzero(erased)[measured:]].sum())
+        return enumerative_bits(n, k) + described, measured, measured + m - described, k, d1_err, 0
+    eta = 0.0 if config.epsilon == 1.0 else (1.0 - config.gamma) / (1.0 - config.epsilon)
+    n1 = math.floor(n * eta + 1e-9)
+    k1 = int(erased[:n1].sum())
+    forward = enumerative_bits(n1, k1) if n1 else 0
+    d2_err = int(x[:n1][~erased[:n1]].sum()) + k - k1
+    return forward, k, k1 + n - n1, k, 0, d2_err
+
+
+@pytest.mark.parametrize("scheme", ["case1", "case2_ts", "case3"])
+def test_streamed_trials_equal_whole_array_draws(scheme, monkeypatch):
+    # pins the raw-word reading and the erasure stream's offset to numpy's
+    # Generator; gamma = epsilon puts case 3's budget at the erasure count,
+    # and case 2's split at the middle of the block
+    chunk = sim._CHUNK
+    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+    for crossover in (POOL_MIN_SYMBOLS, 1):
+        monkeypatch.setattr(sim, "POOL_MIN_SYMBOLS", crossover)
+        for n in (1, 2, 3, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            for epsilon in (0.0, 1.0, 0.2, 0.1234567):
+                gamma = (1.0 + epsilon) / 2 if scheme == "case2_ts" else epsilon
+                config = SimConfig(scheme, n, epsilon, gamma, rng_seed=n % 5, trials=2)
+                assert trial_workers(config) == (1 if crossover > 1 else worker_count())
+                result = run_scheme(config)
+                records = [_reference_counts(config, t) for t in range(2)]
+                expected = tuple(tuple(r[i] for r in records) for i in range(6))
+                assert (
+                    result.forward_bits, result.backward_bits, result.action_counts,
+                    result.erasure_counts, result.d1_errors, result.d2_errors,
+                ) == expected, (n, epsilon)
 
 
 def test_no_erasures_gives_exact_bit_counts():
