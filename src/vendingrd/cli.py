@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p_sw.add_argument("--hops", type=int, default=defaults.hops)
     p_sw.add_argument("--seed", type=int, default=defaults.rng_seed)
-    p_sw.add_argument("--cardinality", type=int, nargs=2, metavar=("NU", "NV"))
+    p_sw.add_argument("--cardinality", type=int, nargs=2, metavar=("NU", "NV"),
+                      help="search sizes |U| and |V|; NV must be at least |Y|, since V relays Y")
     p_sw.add_argument("--seed-policy", type=Path, action="append", default=[])
     p_sw.add_argument("--dump-policies", type=Path)
     p_sw.add_argument("--output", type=Path)

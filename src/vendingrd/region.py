@@ -178,10 +178,11 @@ def aux_alphabet(prefix: str, size: int) -> Alphabet:
 
 
 def default_cardinalities(spec: ProblemSpec) -> tuple[int, int]:
-    """Sufficient index-set sizes: |U| = |Z||A|+3 and |V| = |U||Y||A|+1, capped at 16."""
+    """Index-set sizes |U| = |Z||A|+3 and |V| = |U||Y||A|+1, with |V| capped
+    at 16 but never below |Y|, the least |V| that relays Y."""
     nu = len(spec.z_alpha) * len(spec.a_alpha) + 3
-    nv = min(nu * len(spec.y_alpha) * len(spec.a_alpha) + 1, 16)
-    return nu, nv
+    ny = len(spec.y_alpha)
+    return nu, max(min(nu * ny * len(spec.a_alpha) + 1, 16), ny)
 
 
 def random_policy(spec: ProblemSpec, nu: int, nv: int, rng: np.random.Generator) -> Policy:
@@ -206,9 +207,9 @@ def _kernel_shapes(spec: ProblemSpec, nu: int, nv: int) -> tuple[tuple[int, ...]
 def _random_arrays(spec, nu, nv, rng):
     f_shape, b_shape = _kernel_shapes(spec, nu, nv)
     f_cols = int(np.prod(f_shape[1:]))
-    b_rows = int(np.prod(b_shape[:-1]))
+    back_rows = int(np.prod(b_shape[:-1]))
     f_table = rng.dirichlet(np.ones(f_cols), size=f_shape[0]).reshape(f_shape)
-    b_table = rng.dirichlet(np.ones(nv), size=b_rows).reshape(b_shape)
+    b_table = rng.dirichlet(np.ones(nv), size=back_rows).reshape(b_shape)
     return f_table, b_table
 
 
@@ -231,11 +232,14 @@ def _skeleton_forward(spec, nu, rng):
 
 
 def _identity_backward(spec, nu, nv):
-    """The backward kernel that relays Y verbatim, padded to nv letters.
+    """The backward kernel that relays Y verbatim, padded to nv letters; the
+    search's only backward kernel, so it needs nv >= |Y|.
 
-    For any forward kernel this attains the smallest achievable d1: every
-    other backward choice hands the decoder a garbling of (A, U, Y).
-    Only valid when nv is at least the size of the Y alphabet.
+    When node 1 decodes from (Z, A, U, V), as in the paper's protocol, this
+    attains the smallest d1 for any forward kernel: every other backward
+    choice hands the decoder a garbling of (A, U, Y), and node 1 knows (A, U).
+    The evaluator decodes node 1 from (Z, V) alone, where a V that also
+    carries A can do better.
     """
     ny = len(spec.y_alpha.symbols)
     shape = _kernel_shapes(spec, nu, nv)[1]
@@ -363,9 +367,9 @@ def _entropy_of(p: np.ndarray) -> np.ndarray:
 class _EvalContext:
     """Precompiled tables for fast repeated policy evaluation on one spec.
 
-    ``evaluate`` scores a stack of policies: F and B carry a leading policy
-    axis, of length n or of length 1 when the whole stack shares the kernel,
-    and every metric comes back as an array of length n.  The metrics are
+    ``evaluate`` scores a stack of policies: F carries a leading policy axis
+    of length n, B one of length n or of length 1 when the whole stack shares
+    it, and every metric comes back as an array of length n.  The metrics are
     r1 = I(Z; A, W) + I(Z; U | A, W, Y), r2 = I(Y; V | Z, A, U, W), the
     expected cost, the Bayes distortions of node 1 from (Z, V) and node 2
     from (U, Y), and, with a third node, d3 averaged over W.  Each
@@ -408,7 +412,6 @@ class _EvalContext:
         if not self.hb:
             # the two-node region is the third-node one with a one-letter W
             F, B = F[..., None], B[..., None, :]
-        n = max(len(F), len(B))
         pzauw = self.pz[:, None, None, None] * F
         pzaw = pzauw.sum(axis=3)
         pza = pzaw.sum(axis=3)
@@ -451,9 +454,6 @@ class _EvalContext:
             # single sum over (z, w) when |A| or |Z| is 1.
             sub = "nzaw,kazw->kn" if 1 in Fw.shape[1:3] else "nzaw,kazw->knaz"
             m["d3"], m["d3_inf_mass"] = np.cumsum(np.einsum(sub, Fw, self.c3).reshape(2, len(F), -1), axis=2)[..., -1]
-        if len(F) < n:
-            # a shared forward kernel: the metrics that only F decides are shared too
-            m = {key: value if len(value) == n else value.repeat(n) for key, value in m.items()}
         return m
 
     @staticmethod
@@ -556,8 +556,9 @@ def worker_count() -> int:
     return workers
 
 
-def _softmax(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
-    out_axes = tuple(range(n_in_axes, theta.ndim))
+def _softmax(theta: np.ndarray) -> np.ndarray:
+    """The forward kernels of a stack of logits (restart and z axes lead)."""
+    out_axes = tuple(range(2, theta.ndim))
     shifted = theta - theta.max(axis=out_axes, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=out_axes, keepdims=True)
@@ -586,69 +587,55 @@ def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
     return res
 
 
-def _snap_rows(table: np.ndarray, n_in_axes: int, cutoff: float) -> np.ndarray:
-    out_axes = tuple(range(n_in_axes, table.ndim))
+def _snap_rows(table: np.ndarray, cutoff: float) -> np.ndarray:
+    """A stack of forward kernels with entries below ``cutoff`` zeroed; a row that keeps mass is renormalized."""
+    out_axes = tuple(range(2, table.ndim))
     snapped = np.where(table < cutoff, 0.0, table)
     sums = snapped.sum(axis=out_axes, keepdims=True)
     ok = sums > 0.0
-    snapped = np.where(ok, snapped / np.where(ok, sums, 1.0), table)
-    return snapped
+    return np.where(ok, snapped / np.where(ok, sums, 1.0), table)
 
 
 class _Search:
     """Coordinate penalty descent of a group of restarts, run in lockstep.
 
-    The logits carry a leading restart axis.  Each descent step scores the
-    probes of every restart it moves as one stack, and each restart follows
-    its own rules on its own values, so a restart's path is the one it
-    takes alone; ``base`` and ``d1`` carry the objective and d1 excess it
-    was scored at.  The backward kernel is ``b_exact`` when given; otherwise
-    a restart's row sweep searches it only when the sweep starts with a d1
-    penalty, the one term of the objective it moves."""
+    The forward logits carry a leading restart axis; every restart shares
+    the backward kernel ``B``.  Each descent step scores the probes of every
+    restart it moves as one stack, and each restart follows its own rules
+    on its own values, so a restart's path is the one it takes alone;
+    ``base`` carries the objective it was scored at."""
 
-    def __init__(self, ctx, targets, config, theta_f, theta_b, b_exact=None):
+    def __init__(self, ctx, targets, config, theta_f, B):
         self.ctx = ctx
         self.targets = targets
         self.config = config
         self.theta_f = theta_f
-        self.theta_b = theta_b
-        self.b_exact = b_exact
+        self.B = B[None]
         self.weight = _PENALTY_SCHEDULE[0]
-        # 3-D views of the logits (they are contiguous): restart, kernel row, entry
+        # a 3-D view of the logits (they are contiguous): restart, kernel row, entry
         n = len(theta_f)
         self.f_rows = theta_f.reshape(n, theta_f.shape[1], -1)
-        self.b_rows = theta_b.reshape(n, -1, theta_b.shape[-1])
         self.f_steps = np.ones(self.f_rows.shape[:2])
-        self.b_steps = np.ones(self.b_rows.shape[:2])
         self.joint_step = np.ones(n)
 
-    def _scores(self, tf: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The objective and the d1 excess of a stack of logits (leading
-        axis of length n, or 1 for a kernel the stack shares)."""
-        B = self.b_exact[None] if self.b_exact is not None else _softmax(tb, tb.ndim - 1)
-        m = self.ctx.evaluate(_softmax(tf, 2), B, with_r2=False)
-        viol = _violations(m, self.targets)
-        return m["r1"] + self.weight * sum(v * v for v in viol.values()), viol["d1"]
+    def _scores(self, tf: np.ndarray) -> np.ndarray:
+        """The objective of a stack of logits."""
+        m = self.ctx.evaluate(_softmax(tf), self.B, with_r2=False)
+        return m["r1"] + self.weight * sum(v * v for v in _violations(m, self.targets).values())
 
-    def _block_scores(self, forward: bool, rows: slice, idx: np.ndarray, blocks: np.ndarray):
+    def _block_scores(self, rows: slice, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """``_scores`` with each of ``blocks[j]`` in ``rows`` of restart
-        ``idx[j]``'s forward (or backward) logit rows, scored as one stack
-        ordered by restart, then block."""
-        m = blocks.shape[1]
-        own, other = (self.f_rows, self.theta_b) if forward else (self.b_rows, self.theta_f)
-        stack = np.repeat(own[idx], m, axis=0)
+        ``idx[j]``'s logit rows, scored as one stack ordered by restart,
+        then block."""
+        stack = np.repeat(self.f_rows[idx], blocks.shape[1], axis=0)
         stack[:, rows] = blocks.reshape((-1,) + blocks.shape[2:])
-        # one restart shares its other kernel across the stack
-        other = other[idx] if len(idx) == 1 else np.repeat(other[idx], m, axis=0)
-        if forward:
-            return self._scores(stack.reshape((-1,) + self.theta_f.shape[1:]), other)
-        return self._scores(other, stack.reshape((-1,) + self.theta_b.shape[1:]))
+        return self._scores(stack.reshape((-1,) + self.theta_f.shape[1:]))
 
-    def _improve(self, forward: bool, rows: slice, idx: np.ndarray, steps: np.ndarray) -> None:
-        """One finite-difference descent step over ``rows`` of the forward
-        (or backward) logits of restarts ``idx``, seen as 2-D arrays of
-        kernel rows.  ``steps`` holds every restart's step to try; it is
-        updated in place for ``idx``, as are ``base`` and ``d1``.
+    def _improve(self, rows: slice, idx: np.ndarray, steps: np.ndarray) -> None:
+        """One finite-difference descent step over ``rows`` of the logits of
+        restarts ``idx``, seen as 2-D arrays of kernel rows.  ``steps`` holds
+        every restart's step to try; it is updated in place for ``idx``, as
+        is ``base``.
 
         The forward-difference probes, +h on one entry each, are scored as
         one stack.  Per restart, the gradient is centred per row (softmax
@@ -662,12 +649,11 @@ class _Search:
         so its scores stay those of the stored logits.
         """
         h = 1e-4
-        own = self.f_rows if forward else self.b_rows
-        block = own[idx, rows]
+        block = self.f_rows[idx, rows]
         count, n = len(idx), block[0].size
         probes = np.repeat(block.reshape(count, 1, n), n, axis=1)
         probes[:, np.arange(n), np.arange(n)] += h
-        scores, _ = self._block_scores(forward, rows, idx, probes.reshape((count, n) + block.shape[1:]))
+        scores = self._block_scores(rows, idx, probes.reshape((count, n) + block.shape[1:]))
         g = ((scores.reshape(count, n) - self.base[idx, None]) / h).reshape(block.shape)
         d = -(g - g.mean(axis=2, keepdims=True))
         norm = np.abs(d).reshape(count, -1).max(axis=1)
@@ -678,8 +664,8 @@ class _Search:
         step = steps[idx]
         ks = np.arange(-6, 4)
         rungs = block[:, None] + (step[:, None] * 2.0**ks)[:, :, None, None] * d[:, None]
-        rung_scores = self._block_scores(forward, rows, idx, rungs)
-        values, excess = ([dict(zip(ks.tolist(), r)) for r in a.reshape(len(idx), -1)] for a in rung_scores)
+        rung_scores = self._block_scores(rows, idx, rungs).reshape(len(idx), -1)
+        values = [dict(zip(ks.tolist(), r)) for r in rung_scores]
         pending = range(len(idx))
         while pending:
             climb = []
@@ -692,15 +678,14 @@ class _Search:
                 else:
                     steps[idx[j]] = best_s = step[j] * 2.0**best_k
                     self.base[idx[j]] = best_val
-                    self.d1[idx[j]] = excess[j][best_k]
-                    moved = own[idx[j], rows]
+                    moved = self.f_rows[idx[j], rows]
                     moved += best_s * d[j]
                     moved -= moved.max(axis=1, keepdims=True)
             if climb:
                 tops = np.stack([block[j] + step[j] * 2.0**k * d[j] for j, k in climb])
-                scores, d1 = self._block_scores(forward, rows, idx[[j for j, _ in climb]], tops[:, None])
-                for (j, k), value, e in zip(climb, scores, d1):
-                    values[j][k], excess[j][k] = value, e
+                scores = self._block_scores(rows, idx[[j for j, _ in climb]], tops[:, None])
+                for (j, k), value in zip(climb, scores):
+                    values[j][k] = value
             pending = [j for j, _ in climb]
 
     def _descend(self, step) -> None:
@@ -716,22 +701,18 @@ class _Search:
 
     def _sweep_rows(self, moving: np.ndarray) -> None:
         for r in range(self.f_rows.shape[1]):
-            self._improve(True, slice(r, r + 1), moving, self.f_steps[:, r])
-        if self.b_exact is None:
-            sweep = moving[self.d1[moving] > 0.0]
-            for r in range(self.b_rows.shape[1] if len(sweep) else 0):
-                self._improve(False, slice(r, r + 1), sweep, self.b_steps[:, r])
+            self._improve(slice(r, r + 1), moving, self.f_steps[:, r])
 
     def run(self, schedule: tuple[float, ...] = _PENALTY_SCHEDULE) -> None:
         for weight in schedule:
             self.weight = weight
-            self.base, self.d1 = self._scores(self.theta_f, self.theta_b)
+            self.base = self._scores(self.theta_f)
             self._descend(self._sweep_rows)
             # Row-at-a-time descent stalls in valleys that need compensating
             # moves across forward rows (raise one action probability, lower
             # another, keep the expected cost fixed).  A joint step slides
             # along them.
-            self._descend(lambda moving: self._improve(True, slice(None), moving, self.joint_step))
+            self._descend(lambda moving: self._improve(slice(None), moving, self.joint_step))
 
 
 def _line_search(values: dict, base: float):
@@ -766,18 +747,16 @@ def _run_group(payload) -> list:
     for restart_idx, seeded in zip(indices, seed_arrays):
         rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, restart_idx)))
         if seeded is not None:
-            F0, B0 = seeded
+            F0 = seeded[0]
         else:
-            F0, B0 = _random_arrays(spec, nu, nv, rng)
+            # the backward table is drawn and dropped: skipping it would shift every later draw
+            F0 = _random_arrays(spec, nu, nv, rng)[0]
             if restart_idx % 2 == 0:
                 F0 = _skeleton_forward(spec, nu, rng)
         rngs.append(rng)
-        starts.append((F0, B0))
-    b_exact = None
-    if nv >= len(spec.y_alpha.symbols):
-        b_exact = _identity_backward(spec, nu, nv)
-    theta_f, theta_b = (np.log(np.maximum(np.stack(side), _SEED_FLOOR)) for side in zip(*starts))
-    search = _Search(ctx, targets, config, theta_f, theta_b, b_exact)
+        starts.append(F0)
+    B = _identity_backward(spec, nu, nv)
+    search = _Search(ctx, targets, config, np.log(np.maximum(np.stack(starts), _SEED_FLOOR)), B)
     search.run()
     best = _judge_snapped(ctx, targets, search)
     for hop_idx in range(config.hops):
@@ -788,64 +767,65 @@ def _run_group(payload) -> list:
         # that keeps each row's description profile but redraws how the
         # actions attach to it.  ``search`` holds each restart's best
         # descent so far.
-        kicks = [_kick(search.theta_f[i], search.theta_b[i], hop_idx, rng) for i, rng in enumerate(rngs)]
-        tf, tb = (np.stack(side) for side in zip(*kicks))
-        hop = _Search(ctx, targets, config, tf, tb, b_exact)
+        tf = np.stack([_kick(search.theta_f[i], hop_idx, rng, B.shape) for i, rng in enumerate(rngs)])
+        hop = _Search(ctx, targets, config, tf, B)
         hop.run(_HOP_SCHEDULE)
         for i, cand in enumerate(_judge_snapped(ctx, targets, hop)):
             if _better(cand, best[i]):
                 best[i] = cand
                 search.theta_f[i] = hop.theta_f[i]
-                search.theta_b[i] = hop.theta_b[i]
     for i, seeded in enumerate(seed_arrays):
         if seeded is not None:
             # The penalty stages may wander off a hand-crafted start; never
-            # return anything worse than the seed itself.
+            # return anything worse than the seed itself, judged with its own
+            # backward kernel.
             (as_given,) = _judge(ctx, targets, *(side[None] for side in seeded))
             if _better(as_given, best[i]):
                 best[i] = as_given
     return best
 
 
-def _kick(theta_f: np.ndarray, theta_b: np.ndarray, hop_idx: int, rng: np.random.Generator):
+def _kick(theta_f: np.ndarray, hop_idx: int, rng: np.random.Generator, b_shape) -> np.ndarray:
     """One restart's kicked logits for basin hop ``hop_idx``."""
     if hop_idx % 2 == 0:
-        tf = _tempered(theta_f, 1) + rng.normal(0.0, 1.5, theta_f.shape)
+        tf = _tempered(theta_f) + rng.normal(0.0, 1.5, theta_f.shape)
     else:
-        profile = _tempered(theta_f, 1).max(axis=1, keepdims=True)
+        profile = _tempered(theta_f).max(axis=1, keepdims=True)
         noise_shape = theta_f.shape[:2] + (1,) * (theta_f.ndim - 2)
         tf = profile + rng.normal(0.0, 2.0, noise_shape)
-    tb = _tempered(theta_b, theta_b.ndim - 1) + rng.normal(0.0, 1.5, theta_b.shape)
-    return tf, tb
+    # noise of the backward kernel's shape, drawn and dropped: skipping it would shift every later draw
+    rng.normal(0.0, 1.5, b_shape)
+    return tf
 
 
-def _tempered(theta: np.ndarray, n_in_axes: int) -> np.ndarray:
-    out_axes = tuple(range(n_in_axes, theta.ndim))
-    shifted = theta - theta.max(axis=out_axes, keepdims=True)
+def _tempered(theta: np.ndarray) -> np.ndarray:
+    """One restart's logits shifted to row maximum 0 and clipped at -6."""
+    shifted = theta - theta.max(axis=tuple(range(1, theta.ndim)), keepdims=True)
     return np.clip(shifted, -6.0, 0.0)
 
 
 def _judge_snapped(ctx, targets, search: "_Search") -> list:
     """Each restart of the search, judged as found and after snapping, one
-    stack per candidate: two candidates of a restart may differ in B alone."""
-    F = _softmax(search.theta_f, 2)
-    B = search.b_exact[None] if search.b_exact is not None else _softmax(search.theta_b, search.theta_b.ndim - 1)
-    best = _judge(ctx, targets, F, B)
+    stack per snap cutoff."""
+    F = _softmax(search.theta_f)
+    best = _judge(ctx, targets, F, search.B)
     # Finite-difference descent cannot drive stray row mass much below
     # ~1e-5, which is enough to miss hard distortion targets.  Rounding
     # small entries away restores exact corners; try a few thresholds and
     # keep whichever evaluation judges best.
     for cutoff in _SNAP_THRESHOLDS:
-        snapped = _judge(ctx, targets, _snap_rows(F, 2, cutoff), _snap_rows(B, B.ndim - 1, cutoff))
+        snapped = _judge(ctx, targets, _snap_rows(F, cutoff), search.B)
         best = [cand if _better(cand, inc) else inc for cand, inc in zip(snapped, best)]
     return best
 
 
 def _search_sizes(spec, config) -> tuple[int, int]:
-    """(|U|, |V|) of the search: the config's override, else the defaults."""
-    if config.cardinality_override is not None:
-        return tuple(config.cardinality_override)
-    return default_cardinalities(spec)
+    """(|U|, |V|) of the search: the config's override, else the defaults.
+    |V| below |Y| raises ``ValueError``: the search relays Y."""
+    nu, nv = config.cardinality_override or default_cardinalities(spec)
+    if nv < len(spec.y_alpha):
+        raise ValueError(f"the search relays Y, so |V| must be at least |Y| = {len(spec.y_alpha)}, got {nv}")
+    return nu, nv
 
 
 def _judge(ctx, targets, F, B) -> list:
@@ -900,8 +880,8 @@ def minimize_r1(
     smallest constraint residual seen.  A d3 target on a spec without a
     third node raises ``ValueError``.
 
-    At |V| >= |Y| the backward kernel relays Y, the best choice for d1 under
-    any forward kernel; at smaller |V| it is searched only while d1 binds.
+    The backward kernel relays Y (``_identity_backward``), so |V| below |Y|
+    raises ``ValueError``; only the forward kernel is searched.
     """
     if targets.gamma is None:
         raise ValueError("minimize_r1 needs a cost budget in targets.gamma")

@@ -228,12 +228,25 @@ def test_sweep_all_infeasible_exits_3(spec_path, capsys):
         [
             "sweep", "--spec", str(spec_path), "--d1", "0.0", "--d2", "1.0",
             "--gammas", "0.05", "0.1", "--restarts", "1", "--max-iters", "2",
-            "--hops", "0", "--cardinality", "2", "2",
+            "--hops", "0", "--cardinality", "2", "3",
         ]
     )
     assert code == 3
     rows = _rows(capsys.readouterr().out)
     assert all(r[-1] == "0" and r[1] == "" and r[2] == "" for r in rows)
+
+
+def test_sweep_rejects_v_smaller_than_y(spec_path, capsys):
+    code = main(
+        [
+            "sweep", "--spec", str(spec_path), "--d1", "0.5", "--d2", "1.0",
+            "--gammas", "0.5", "--restarts", "1", "--cardinality", "2", "2",
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "|Y| = 3" in captured.err
 
 
 def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path, monkeypatch):

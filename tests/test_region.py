@@ -30,6 +30,7 @@ from vendingrd.probability import (
     expectation,
 )
 from vendingrd.region import (
+    OptimizerConfig,
     Policy,
     OperatingPoint,
     Targets,
@@ -39,6 +40,7 @@ from vendingrd.region import (
     evaluate_point,
     load_policy,
     markov_chains,
+    minimize_r1,
     policy_from_document,
     policy_to_document,
     random_policy,
@@ -91,6 +93,24 @@ def test_default_cardinalities():
     nu, nv = default_cardinalities(spec)
     assert nu == 9
     assert nv == 16
+
+
+def test_default_cardinalities_relay_a_large_y_alphabet():
+    """|V| is capped at 16 but never falls below |Y|, so the search, which
+    relays Y, runs at the default sizes on a 17-letter Y alphabet."""
+    x, z, a = Alphabet("x", ("0", "1")), Alphabet("z", ("0", "1")), Alphabet("a", ("0",))
+    y = Alphabet("y", tuple(f"y{i}" for i in range(17)))
+    d = np.zeros((2, 17, 2, 2))
+    spec = ProblemSpec(
+        mode="indirect", x_alpha=x, z_alpha=z, y_alpha=y, a_alpha=a, xhat1_alpha=x, xhat2_alpha=x,
+        source=JointPmf((("x", x), ("z", z)), np.full((2, 2), 0.25)),
+        vending=Kernel((a, x, z), (y,), np.full((1, 2, 2, 17), 1.0 / 17)),
+        cost=np.zeros(1), d1=d, d2=d,
+    )
+    assert default_cardinalities(spec) == (5, 17)
+    config = OptimizerConfig(restarts=1, max_iters=1, hops=0)
+    result = minimize_r1(spec, Targets(d1=0.0, d2=0.0, gamma=0.0), config)
+    assert len(result.policy.v_alpha) == 17 and result.feasible
 
 
 def test_assemble_joint_normalizes_and_marginalizes():
@@ -489,13 +509,10 @@ def test_stacked_evaluation_matches_single():
         policies = [_sparsified(random_policy(spec, nu, nv, rng), rng) for _ in range(n)]
         F = np.stack([p.forward.table for p in policies])
         B = np.stack([p.backward.table for p in policies])
-        # a shared backward kernel, one per policy, and a shared forward one
-        for f_stack, b_stack in ((F, B[:1]), (F, B), (F[:1], B)):
+        # a shared backward kernel, and one per policy
+        for f_stack, b_stack in ((F, B[:1]), (F, B)):
             got = ctx.evaluate(f_stack, b_stack)
-            singles = [
-                ctx.evaluate(f_stack[i % len(f_stack)][None], b_stack[i % len(b_stack)][None])
-                for i in range(n)
-            ]
+            singles = [ctx.evaluate(f_stack[i][None], b_stack[i % len(b_stack)][None]) for i in range(n)]
             for key, value in got.items():
                 want = np.concatenate([one[key] for one in singles])
                 assert np.array_equal(value, want), (trial, key, value, want)
