@@ -37,7 +37,7 @@ from .region import (
     markov_chains,
     save_policy,
     sweep_gamma,
-    worker_count,
+    restart_workers,
 )
 from .sim import SCHEMES, SimConfig, run_scheme, trial_workers
 
@@ -129,18 +129,21 @@ def cmd_evaluate(args) -> tuple[list[str], int]:
 
 # --- rate sweeps -----------------------------------------------------------
 
-def cmd_sweep(args) -> tuple[list[str], int, list[Path]]:
-    spec = load_spec(args.spec)
-    targets = Targets(d1=args.d1, d2=args.d2, d3=args.d3)
-    config = OptimizerConfig(
+def _optimizer_config(args) -> OptimizerConfig:
+    return OptimizerConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
         hops=args.hops,
         rng_seed=args.seed,
         cardinality_override=tuple(args.cardinality) if args.cardinality else None,
     )
+
+
+def cmd_sweep(args) -> tuple[list[str], int, list[Path]]:
+    spec = load_spec(args.spec)
+    targets = Targets(d1=args.d1, d2=args.d2, d3=args.d3)
     seeds = [load_policy(path) for path in args.seed_policy]
-    entries = sweep_gamma(spec, targets, args.gammas, config, seeds=seeds)
+    entries = sweep_gamma(spec, targets, args.gammas, _optimizer_config(args), seeds=seeds)
     lines = ["gamma,r1,r2,d1,d2,d3,residual,feasible"]
     extra_outputs: list[Path] = []
     for entry in entries:
@@ -199,7 +202,7 @@ def _workers_used(args) -> int:
     if args.command == "simulate":
         return trial_workers(_sim_config(args))
     if args.command == "sweep":
-        return min(worker_count(), args.restarts)
+        return restart_workers(_optimizer_config(args))
     return 1
 
 
@@ -261,11 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--gammas", type=float, nargs="+", required=True)
     defaults = OptimizerConfig()
     p_sw.add_argument("--restarts", type=int, default=defaults.restarts)
-    p_sw.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    p_sw.add_argument("--hops", type=int, default=defaults.hops)
+    p_sw.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iterations per solve")
+    p_sw.add_argument("--hops", type=int, default=defaults.hops, help="kicked re-solves per start")
     p_sw.add_argument("--seed", type=int, default=defaults.rng_seed)
     p_sw.add_argument("--cardinality", type=int, nargs=2, metavar=("NU", "NV"),
-                      help="search sizes |U| and |V|; NV must be at least |Y|, since V relays Y")
+                      help="solver sizes |U| and |V|; NV must be at least |Y|, since V relays Y")
     p_sw.add_argument("--seed-policy", type=Path, action="append", default=[])
     p_sw.add_argument("--dump-policies", type=Path)
     p_sw.add_argument("--output", type=Path)

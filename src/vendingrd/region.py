@@ -37,16 +37,6 @@ from .model import (
 from .probability import Alphabet, JointPmf, Kernel, TableError, product_joint
 
 FEASIBILITY_TOL = 1e-7
-_SEED_FLOOR = 1e-12
-_SNAP_THRESHOLDS = (1e-8, 1e-5, 1e-3, 2e-2)
-_INF_MASS_WEIGHT = 1e3
-# Penalty weights swept by every descent, and the objective decrease below
-# which a sweep over the rows counts as converged.
-_PENALTY_SCHEDULE = (1e2, 1e4, 1e6, 1e8)
-_STEP_TOLERANCE = 1e-9
-# A basin hop re-descends from a mid weight so the kicked policy can
-# restructure before the top weight freezes it onto the feasible set.
-_HOP_SCHEDULE = (_PENALTY_SCHEDULE[1], _PENALTY_SCHEDULE[-1])
 
 
 @dataclass(frozen=True)
@@ -138,6 +128,14 @@ class Targets:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of ``minimize_r1``.
+
+    ``restarts`` is the number of solver starts; ``max_iters`` the
+    iterations of one solve; ``hops`` the kicked re-solves per start;
+    ``rng_seed`` seeds every start's stream; ``cardinality_override`` sets
+    (|U|, |V|) in place of ``default_cardinalities``.
+    """
+
     restarts: int = 8
     max_iters: int = 40
     rng_seed: int = 0
@@ -187,7 +185,9 @@ def default_cardinalities(spec: ProblemSpec) -> tuple[int, int]:
 
 def random_policy(spec: ProblemSpec, nu: int, nv: int, rng: np.random.Generator) -> Policy:
     """A fully random policy with Dirichlet(1) rows at the given index sizes."""
-    f_table, b_table = _random_arrays(spec, nu, nv, rng)
+    f_table = _random_forward(spec, nu, rng)
+    b_shape = _kernel_shapes(spec, nu, nv)[1]
+    b_table = rng.dirichlet(np.ones(nv), size=int(np.prod(b_shape[:-1]))).reshape(b_shape)
     return _policy_from_arrays(spec, f_table, b_table)
 
 
@@ -204,36 +204,15 @@ def _kernel_shapes(spec: ProblemSpec, nu: int, nv: int) -> tuple[tuple[int, ...]
     return (len(spec.z_alpha),) + tuple(map(len, fwd)), tuple(map(len, back))
 
 
-def _random_arrays(spec, nu, nv, rng):
-    f_shape, b_shape = _kernel_shapes(spec, nu, nv)
-    f_cols = int(np.prod(f_shape[1:]))
-    back_rows = int(np.prod(b_shape[:-1]))
-    f_table = rng.dirichlet(np.ones(f_cols), size=f_shape[0]).reshape(f_shape)
-    b_table = rng.dirichlet(np.ones(nv), size=back_rows).reshape(b_shape)
-    return f_table, b_table
-
-
-def _skeleton_forward(spec, nu, rng):
-    """A random start whose description letter is a function of Z.
-
-    Frontier policies tend to use U as a (possibly merging) quantizer of
-    Z with only the action mixed.  Seeding half the restarts this way
-    lets the smooth action parameters settle by descent instead of
-    hoping a fully random table falls into the right corner pattern.
-    """
+def _random_forward(spec, nu, rng, alpha=1.0):
+    """A forward kernel with Dirichlet(alpha) rows at index size nu."""
     shape = _kernel_shapes(spec, nu, 1)[0]
-    nz, na = shape[0], shape[1]
-    table = np.full(shape, 1e-6)
-    actions = rng.dirichlet(np.ones(na), size=nz)
-    for z in range(nz):
-        sel = (z, slice(None)) + tuple(int(rng.integers(n)) for n in shape[2:])
-        table[sel] = actions[z]
-    return table / table.sum(axis=tuple(range(1, table.ndim)), keepdims=True)
+    return rng.dirichlet(np.full(int(np.prod(shape[1:])), alpha), size=shape[0]).reshape(shape)
 
 
 def _identity_backward(spec, nu, nv):
     """The backward kernel that relays Y verbatim, padded to nv letters; the
-    search's only backward kernel, so it needs nv >= |Y|.
+    solver's only backward kernel, so it needs nv >= |Y|.
 
     When node 1 decodes from (Z, A, U, V), as in the paper's protocol, this
     attains the smallest d1 for any forward kernel: every other backward
@@ -376,7 +355,6 @@ class _EvalContext:
     distortion comes with the mass that lands on forbidden (+inf) cells.
     Without a third node W has one letter.  Each policy's metrics equal,
     bit for bit, those of the same policy evaluated as a stack of one.
-    ``with_r2=False`` leaves out r2, which the search's objective never reads.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -408,7 +386,7 @@ class _EvalContext:
             c_inf = None
         return c_fin, c_inf
 
-    def evaluate(self, F: np.ndarray, B: np.ndarray, with_r2: bool = True) -> dict:
+    def evaluate(self, F: np.ndarray, B: np.ndarray) -> dict:
         if not self.hb:
             # the two-node region is the third-node one with a one-letter W
             F, B = F[..., None], B[..., None, :]
@@ -434,19 +412,11 @@ class _EvalContext:
         d1_fin, d1_inf = self._decode(np.einsum("nzayv,azyk->nvzk", fb, self.c1_fin), fb, self.c1_inf, "nzayv,azyk->nvzk")
         Fu = F.sum(axis=4)
         d2_fin, d2_inf = self._decode(np.einsum("nzau,azyk->nuyk", Fu, self.c2_fin), Fu, self.c2_inf, "nzau,azyk->nuyk")
-        m = {
-            "r1": r1,
-            "gamma": gamma,
-            "d1": d1_fin,
-            "d1_inf_mass": d1_inf,
-            "d2": d2_fin,
-            "d2_inf_mass": d2_inf,
-        }
-        if with_r2:
-            pzauwyv = np.einsum("nzauwy,nauywv->nzauwyv", pzauwy, B)
-            r2 = h_zauwy + _entropy_of(pzauwyv.sum(axis=5)) - _entropy_of(pzauwyv) - _entropy_of(pzauw)
-            r2[r2 < 0.0] = 0.0
-            m["r2"] = r2
+        pzauwyv = np.einsum("nzauwy,nauywv->nzauwyv", pzauwy, B)
+        r2 = h_zauwy + _entropy_of(pzauwyv.sum(axis=5)) - _entropy_of(pzauwyv) - _entropy_of(pzauw)
+        r2[r2 < 0.0] = 0.0
+        m = {"r1": r1, "r2": r2, "gamma": gamma}
+        m.update(d1=d1_fin, d1_inf_mass=d1_inf, d2=d2_fin, d2_inf_mass=d2_inf)
         if self.hb:
             Fw = F.sum(axis=3)
             # The sums over w, folded left in (a, z) order, add the terms
@@ -538,7 +508,7 @@ def load_policy(path) -> Policy:
     return policy_from_document(read_json(path, "policy"))
 
 
-# --- penalty-descent search -------------------------------------------------
+# --- alternating-minimization solver ----------------------------------------
 
 def worker_count() -> int:
     """The most workers a pool may start, restart processes or simulation
@@ -556,24 +526,10 @@ def worker_count() -> int:
     return workers
 
 
-def _softmax(theta: np.ndarray) -> np.ndarray:
-    """The forward kernels of a stack of logits (restart and z axes lead)."""
-    out_axes = tuple(range(2, theta.ndim))
-    shifted = theta - theta.max(axis=out_axes, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=out_axes, keepdims=True)
-
-
-def _violations(m: dict, targets: Targets) -> dict:
-    """Each policy's penalized constraint excess, from stacked metrics."""
-    res = {
-        "d1": np.maximum(0.0, m["d1"] - targets.d1) + _INF_MASS_WEIGHT * m["d1_inf_mass"],
-        "d2": np.maximum(0.0, m["d2"] - targets.d2) + _INF_MASS_WEIGHT * m["d2_inf_mass"],
-        "gamma": np.maximum(0.0, m["gamma"] - targets.gamma),
-    }
-    if "d3" in m and targets.d3 is not None:
-        res["d3"] = np.maximum(0.0, m["d3"] - targets.d3) + _INF_MASS_WEIGHT * m["d3_inf_mass"]
-    return res
+def restart_workers(config: OptimizerConfig) -> int:
+    """Processes ``minimize_r1`` runs ``config``'s starts on: one per start,
+    up to ``worker_count``."""
+    return min(worker_count(), config.restarts)
 
 
 def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
@@ -587,244 +543,186 @@ def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
     return res
 
 
-def _snap_rows(table: np.ndarray, cutoff: float) -> np.ndarray:
-    """A stack of forward kernels with entries below ``cutoff`` zeroed; a row that keeps mass is renormalized."""
-    out_axes = tuple(range(2, table.ndim))
-    snapped = np.where(table < cutoff, 0.0, table)
-    sums = snapped.sum(axis=out_axes, keepdims=True)
-    ok = sums > 0.0
-    return np.where(ok, snapped / np.where(ok, sums, 1.0), table)
+# Each multiplier is capped.  A target met only at the cap, such as a zero
+# distortion, leaves about exp(-1e4 e) of mass on a cell that costs e more;
+# a cap of 400 left some tight nonzero targets unmet.
+_NU_CAP = 1e4
+# Newton steps per F step, and the step sizes each one tries
+_NEWTON_STEPS = 6
+_BACKTRACK = 0.5 ** np.arange(12)
+# r, q and F sweeps per decoder update
+_SWEEPS = 2
+# Starts and hops draw sparse Dirichlet rows: near-deterministic kernels
+# reach corner optima that uniform ones converge away from.
+_DRAW_ALPHA = 0.1
+# keeps 0 log 0 = 0 in the r and q steps without masking
+_TINY = 1e-300
 
 
-class _Search:
-    """Coordinate penalty descent of a group of restarts, run in lockstep.
+class _Solver:
+    """Constrained alternating minimization of r1 over a stack of forward
+    kernels F = p(a, u, w | z); the backward kernel relays Y.
 
-    The forward logits carry a leading restart axis; every restart shares
-    the backward kernel ``B``.  Each descent step scores the probes of every
-    restart it moves as one stack, and each restart follows its own rules
-    on its own values, so a restart's path is the one it takes alone;
-    ``base`` carries the objective it was scored at."""
+    r1 ln 2 is the minimum over r(a, w) and q(u | a, w, y) of
+    E[ln F - ln r - ln q], reached at r = p(a, w) and q = p(u | a, w, y).
+    One iteration fixes F's Bayes decoders (node 1 decodes from (Z, Y),
+    node 2 from (U, Y)), under which the cost and the distortions are
+    linear in F, then takes ``_SWEEPS`` sweeps.  A sweep sets r and q to
+    F's marginals, then F to the Gibbs kernel F(. | z) ∝ exp(θ - Σ_j ν_j
+    c_j) with θ = ln r + Σ_y p(y | z, a) ln q, c_j the per-cell costs of the
+    targets, and no mass on the cells whose chosen reconstruction is
+    forbidden (+inf).  The multipliers ν maximize the concave dual by
+    projected Newton steps, each taking the best of ``_BACKTRACK``'s step
+    sizes, with every ν capped at ``_NU_CAP``.  Every step is decided per
+    start and every sum runs along a start's own axes, so a start's
+    iterates do not depend on the rest of its stack.
+    """
 
-    def __init__(self, ctx, targets, config, theta_f, B):
+    def __init__(self, ctx: _EvalContext, targets: Targets):
         self.ctx = ctx
-        self.targets = targets
-        self.config = config
-        self.theta_f = theta_f
-        self.B = B[None]
-        self.weight = _PENALTY_SCHEDULE[0]
-        # a 3-D view of the logits (they are contiguous): restart, kernel row, entry
-        n = len(theta_f)
-        self.f_rows = theta_f.reshape(n, theta_f.shape[1], -1)
-        self.f_steps = np.ones(self.f_rows.shape[:2])
-        self.joint_step = np.ones(n)
+        self.pz = ctx.pz
+        # the evaluator's tables carry p(z); the F step prices F(. | z)
+        self.per_z = np.where(ctx.pz > 0.0, 1.0 / np.where(ctx.pz > 0.0, ctx.pz, 1.0), 0.0)[:, None, None, None]
+        self.pyza = ctx.pzay * self.per_z[..., None]
+        # each node's (z, a, y, k) tables, spread onto the axes of its cells
+        self.node1 = [None if c is None else c.transpose(1, 0, 2, 3)[None] for c in (ctx.c1_fin, ctx.c1_inf)]
+        self.node2 = [None if c is None else c.transpose(1, 0, 2, 3)[None, :, :, None] for c in (ctx.c2_fin, ctx.c2_inf)]
+        # the cost's and d3's tables on the (z, a, u, w) axes
+        self.cost, self.d3, self.bad3 = ctx.cost[:, None, None], [], False
+        if ctx.hb:
+            c3 = ctx.c3.transpose(0, 2, 1, 3)[:, :, :, None]
+            self.bad3 = c3[1] > 0.0
+            if targets.d3 is not None:
+                self.d3 = [c3[0] * self.per_z]
+        self.limits = np.array([v for v in (targets.gamma, targets.d1, targets.d2, targets.d3) if v is not None])
 
-    def _scores(self, tf: np.ndarray) -> np.ndarray:
-        """The objective of a stack of logits."""
-        m = self.ctx.evaluate(_softmax(tf), self.B, with_r2=False)
-        return m["r1"] + self.weight * sum(v * v for v in _violations(m, self.targets).values())
+    def solve(self, F: np.ndarray, iters: int) -> np.ndarray:
+        """A stack of forward kernels after ``iters`` iterations from F."""
+        shape = F.shape
+        F = F if self.ctx.hb else F[..., None]
+        n, nz = len(F), len(self.pz)
+        nu = np.zeros((n, len(self.limits)))
+        for _ in range(iters):
+            costs, forbidden = self._costs(F)
+            for _ in range(_SWEEPS):
+                theta = np.where(forbidden, -np.inf, self._theta(F)).reshape(n, nz, -1)
+                P, nu = self._f_step(theta, costs, nu)
+                F = P.reshape(F.shape)
+        return F.reshape(shape)
 
-    def _block_scores(self, rows: slice, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """``_scores`` with each of ``blocks[j]`` in ``rows`` of restart
-        ``idx[j]``'s logit rows, scored as one stack ordered by restart,
-        then block."""
-        stack = np.repeat(self.f_rows[idx], blocks.shape[1], axis=0)
-        stack[:, rows] = blocks.reshape((-1,) + blocks.shape[2:])
-        return self._scores(stack.reshape((-1,) + self.theta_f.shape[1:]))
+    def _theta(self, F):
+        """ln r + Σ_y p(y | z, a) ln q at the marginals of the stack F."""
+        pauwy = (F[..., None] * self.ctx.pzay).sum(axis=1)
+        ln_q = np.log((pauwy + _TINY) / (pauwy.sum(axis=2, keepdims=True) + F.shape[3] * _TINY))
+        ln_r = np.log((self.pz[:, None, None, None] * F).sum(axis=(1, 3)) + _TINY)
+        return ln_r[:, None, :, None, :] + (self.pyza * ln_q[:, None]).sum(axis=-1)
 
-    def _improve(self, rows: slice, idx: np.ndarray, steps: np.ndarray) -> None:
-        """One finite-difference descent step over ``rows`` of the logits of
-        restarts ``idx``, seen as 2-D arrays of kernel rows.  ``steps`` holds
-        every restart's step to try; it is updated in place for ``idx``, as
-        is ``base``.
+    def _costs(self, F):
+        """The costs (n, J, z, cells) of the targets under the Bayes
+        decoders of the stack F, and the cells they forbid."""
+        # node 1 observes (z, y) and node 2 (u, y)
+        e1, bad1 = _decoded(F.sum(axis=(3, 4))[..., None, None], *self.node1, (2,))
+        e2, bad2 = _decoded(F.sum(axis=4)[..., None, None], *self.node2, (1, 2))
+        cells = [self.cost, e1[..., None, None] * self.per_z, e2[..., None] * self.per_z] + self.d3
+        costs = np.stack([np.broadcast_to(c, F.shape) for c in cells], axis=1)
+        forbidden = np.broadcast_to(np.asarray(bad1)[..., None, None] | np.asarray(bad2)[..., None] | self.bad3, F.shape)
+        # a row with no allowed cell keeps them all: no kernel meets the targets
+        forbidden = forbidden & ~forbidden.all(axis=(2, 3, 4), keepdims=True)
+        return costs.reshape(len(F), len(self.limits), len(self.pz), -1), forbidden
 
-        The forward-difference probes, +h on one entry each, are scored as
-        one stack.  Per restart, the gradient is centred per row (softmax
-        ignores a row's shift), scaled by its largest entry, and followed
-        by a doubling/halving line search over the steps step * 2**k.  The
-        rungs k = -6..3 are scored as one stack and each search is replayed
-        on its own values; a rung above 3 is scored, one stack across the
-        restarts that climb there, only when a search climbs past 3.  Each
-        restart visits what a probe-at-a-time search would.  The accepted
-        rung is stored minus its row maxima, which softmax subtracts anyway,
-        so its scores stay those of the stored logits.
-        """
-        h = 1e-4
-        block = self.f_rows[idx, rows]
-        count, n = len(idx), block[0].size
-        probes = np.repeat(block.reshape(count, 1, n), n, axis=1)
-        probes[:, np.arange(n), np.arange(n)] += h
-        scores = self._block_scores(rows, idx, probes.reshape((count, n) + block.shape[1:]))
-        g = ((scores.reshape(count, n) - self.base[idx, None]) / h).reshape(block.shape)
-        d = -(g - g.mean(axis=2, keepdims=True))
-        norm = np.abs(d).reshape(count, -1).max(axis=1)
-        live = ~(norm < 1e-13)
-        if not live.any():
-            return
-        idx, block, d = idx[live], block[live], d[live] / norm[live, None, None]
-        step = steps[idx]
-        ks = np.arange(-6, 4)
-        rungs = block[:, None] + (step[:, None] * 2.0**ks)[:, :, None, None] * d[:, None]
-        rung_scores = self._block_scores(rows, idx, rungs).reshape(len(idx), -1)
-        values = [dict(zip(ks.tolist(), r)) for r in rung_scores]
-        pending = range(len(idx))
-        while pending:
-            climb = []
-            for j in pending:
-                k, best_k, best_val = _line_search(values[j], self.base[idx[j]])
-                if k is not None:
-                    climb.append((j, k))
-                elif best_k is None:
-                    steps[idx[j]] = max(step[j] * 0.5, 1e-4)
-                else:
-                    steps[idx[j]] = best_s = step[j] * 2.0**best_k
-                    self.base[idx[j]] = best_val
-                    moved = self.f_rows[idx[j], rows]
-                    moved += best_s * d[j]
-                    moved -= moved.max(axis=1, keepdims=True)
-            if climb:
-                tops = np.stack([block[j] + step[j] * 2.0**k * d[j] for j, k in climb])
-                scores = self._block_scores(rows, idx[[j for j, _ in climb]], tops[:, None])
-                for (j, k), value in zip(climb, scores):
-                    values[j][k] = value
-            pending = [j for j, _ in climb]
+    def _dual(self, theta, costs, nu):
+        """The dual objective at multipliers nu (..., J), and the Gibbs
+        kernels (..., z, cells) it is taken at."""
+        logits = theta - (nu[..., None, None] * costs).sum(axis=-3)
+        top = logits.max(axis=-1, keepdims=True)
+        mass = np.exp(logits - top)
+        total = mass.sum(axis=-1, keepdims=True)
+        g = -(self.pz * (top + np.log(total))[..., 0]).sum(axis=-1) - (nu * self.limits).sum(axis=-1)
+        return g, mass / total
 
-    def _descend(self, step) -> None:
-        """Apply ``step`` to the restarts still moving, up to ``max_iters`` times."""
-        moving = np.arange(len(self.theta_f))
-        for _ in range(self.config.max_iters):
-            before = self.base[moving]
-            step(moving)
-            # a NaN decrease is not below the tolerance: the restart moves on
-            moving = moving[~(before - self.base[moving] < _STEP_TOLERANCE)]
-            if not len(moving):
-                break
-
-    def _sweep_rows(self, moving: np.ndarray) -> None:
-        for r in range(self.f_rows.shape[1]):
-            self._improve(slice(r, r + 1), moving, self.f_steps[:, r])
-
-    def run(self, schedule: tuple[float, ...] = _PENALTY_SCHEDULE) -> None:
-        for weight in schedule:
-            self.weight = weight
-            self.base = self._scores(self.theta_f)
-            self._descend(self._sweep_rows)
-            # Row-at-a-time descent stalls in valleys that need compensating
-            # moves across forward rows (raise one action probability, lower
-            # another, keep the expected cost fixed).  A joint step slides
-            # along them.
-            self._descend(lambda moving: self._improve(slice(None), moving, self.joint_step))
+    def _f_step(self, theta, costs, nu):
+        """The F step from multipliers nu: the kernels and their multipliers."""
+        n, J = nu.shape
+        for _ in range(_NEWTON_STEPS):
+            g, P = self._dual(theta, costs, nu)
+            mean = (P[:, None] * costs).sum(axis=-1)
+            grad = (mean * self.pz).sum(axis=-1) - self.limits
+            second = (P[:, None, None] * costs[:, :, None] * costs[:, None]).sum(axis=-1)
+            hess = ((second - mean[:, :, None] * mean[:, None]) * self.pz).sum(axis=-1)
+            free = ~(((nu <= 0.0) & (grad < 0.0)) | ((nu >= _NU_CAP) & (grad > 0.0)))
+            system = np.where(free[:, :, None] & free[:, None], hess, 0.0)
+            system += np.eye(J) * np.where(free, 1e-12, 1.0)[:, :, None]
+            step = np.linalg.solve(system, np.where(free, grad, 0.0)[..., None])[..., 0]
+            # where the dual is flat the step is huge: shorten it to the cap
+            step *= np.minimum(1.0, _NU_CAP / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
+            trials = np.clip(nu[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
+            g_trials = self._dual(theta[:, None], costs[:, None], trials)[0]
+            pick = g_trials.argmax(axis=1)
+            up = g_trials[np.arange(n), pick] > g
+            nu = np.where(up[:, None], trials[np.arange(n), pick], nu)
+        return self._dual(theta, costs, nu)[1], nu
 
 
-def _line_search(values: dict, base: float):
-    """Replay the doubling/halving line search on the rung objectives
-    ``values`` (keyed by k).  Returns (k, None, None) when rung k is still
-    to be scored, else (None, best_k, best_val), best_k None for no decrease."""
-    best_val, best_k, k = base, None, 0
-    for _ in range(24):
-        if k not in values:
-            return k, None, None
-        if values[k] < best_val - 1e-15:
-            best_val, best_k = values[k], k
-            k += 1
-        elif best_k is not None or k <= -6:
-            break
-        else:
-            k -= 1
-    return None, best_k, best_val
+def _decoded(weights, fin, inf, axes):
+    """A Bayes decoder's cost per cell, y summed out, and its forbidden cells.
+
+    ``weights`` times a metric's (z, a, y, k) tables ``fin`` and ``inf``,
+    both on the cells' axes, summed over ``axes``, is each observation's
+    cost per reconstruction k.  The decoder takes the cheapest k with no
+    forbidden mass or, when every k has some, the one with the least."""
+    w_fin = (weights * fin).sum(axis=axes, keepdims=True)
+    choice = w_fin.argmin(axis=-1)
+    if inf is not None:
+        w_inf = (weights * inf).sum(axis=axes, keepdims=True)
+        allowed = np.where(w_inf > 0.0, np.inf, w_fin)
+        choice = np.where(np.isinf(allowed.min(axis=-1)), w_inf.argmin(axis=-1), allowed.argmin(axis=-1))
+    pick = choice[..., None]
+    bad = False if inf is None else np.take_along_axis(inf, pick, axis=-1).sum(axis=(-2, -1)) > 0.0
+    return np.take_along_axis(fin, pick, axis=-1).sum(axis=(-2, -1)), bad
 
 
 def _run_group(payload) -> list:
-    """Restarts ``indices`` in lockstep; each one's best outcome, in order.
+    """Starts ``indices`` as one stack; each one's best outcome, in order.
 
-    Every restart draws from its own stream, seeded by (rng_seed, index),
-    in the order it would alone, and hops run in lockstep by hop index, so
-    each outcome is the one the restart reaches alone.
+    Every start draws from its own stream, seeded by (rng_seed, index): its
+    first forward kernel, unless a seed gives it, then one per hop.  A hop
+    re-solves from an even mix of the start's best kernel and a fresh draw
+    and keeps what it finds if ``_better`` prefers it, so each outcome is
+    the one the start reaches alone.
     """
     ctx, targets, config, indices, seed_arrays = payload
     spec = ctx.spec
     nu, nv = _search_sizes(spec, config)
-    rngs, starts = [], []
-    for restart_idx, seeded in zip(indices, seed_arrays):
-        rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, restart_idx)))
-        if seeded is not None:
-            F0 = seeded[0]
-        else:
-            # the backward table is drawn and dropped: skipping it would shift every later draw
-            F0 = _random_arrays(spec, nu, nv, rng)[0]
-            if restart_idx % 2 == 0:
-                F0 = _skeleton_forward(spec, nu, rng)
-        rngs.append(rng)
-        starts.append(F0)
-    B = _identity_backward(spec, nu, nv)
-    search = _Search(ctx, targets, config, np.log(np.maximum(np.stack(starts), _SEED_FLOOR)), B)
-    search.run()
-    best = _judge_snapped(ctx, targets, search)
-    for hop_idx in range(config.hops):
-        # Basin hop: soften the saturated logits, kick them, re-descend
-        # through the upper penalty stages.  Row descent cannot move
-        # action mass between observation symbols once a row has locked
-        # in; a kick can.  Alternate between a plain noise kick and one
-        # that keeps each row's description profile but redraws how the
-        # actions attach to it.  ``search`` holds each restart's best
-        # descent so far.
-        tf = np.stack([_kick(search.theta_f[i], hop_idx, rng, B.shape) for i, rng in enumerate(rngs)])
-        hop = _Search(ctx, targets, config, tf, B)
-        hop.run(_HOP_SCHEDULE)
-        for i, cand in enumerate(_judge_snapped(ctx, targets, hop)):
+    rngs = [np.random.default_rng(np.random.SeedSequence((config.rng_seed, i))) for i in indices]
+
+    def draw(rng):
+        return _random_forward(spec, nu, rng, _DRAW_ALPHA)
+
+    starts = [draw(rng) if seeded is None else seeded[0] for rng, seeded in zip(rngs, seed_arrays)]
+    solver = _Solver(ctx, targets)
+    B = _identity_backward(spec, nu, nv)[None]
+    best = _judge(ctx, targets, solver.solve(np.stack(starts), config.max_iters), B)
+    for _ in range(config.hops):
+        mixed = np.stack([0.5 * (inc["F"] + draw(rng)) for inc, rng in zip(best, rngs)])
+        for i, cand in enumerate(_judge(ctx, targets, solver.solve(mixed, config.max_iters), B)):
             if _better(cand, best[i]):
                 best[i] = cand
-                search.theta_f[i] = hop.theta_f[i]
     for i, seeded in enumerate(seed_arrays):
         if seeded is not None:
-            # The penalty stages may wander off a hand-crafted start; never
-            # return anything worse than the seed itself, judged with its own
-            # backward kernel.
+            # never return anything worse than the seed itself, judged with
+            # its own backward kernel
             (as_given,) = _judge(ctx, targets, *(side[None] for side in seeded))
             if _better(as_given, best[i]):
                 best[i] = as_given
     return best
 
 
-def _kick(theta_f: np.ndarray, hop_idx: int, rng: np.random.Generator, b_shape) -> np.ndarray:
-    """One restart's kicked logits for basin hop ``hop_idx``."""
-    if hop_idx % 2 == 0:
-        tf = _tempered(theta_f) + rng.normal(0.0, 1.5, theta_f.shape)
-    else:
-        profile = _tempered(theta_f).max(axis=1, keepdims=True)
-        noise_shape = theta_f.shape[:2] + (1,) * (theta_f.ndim - 2)
-        tf = profile + rng.normal(0.0, 2.0, noise_shape)
-    # noise of the backward kernel's shape, drawn and dropped: skipping it would shift every later draw
-    rng.normal(0.0, 1.5, b_shape)
-    return tf
-
-
-def _tempered(theta: np.ndarray) -> np.ndarray:
-    """One restart's logits shifted to row maximum 0 and clipped at -6."""
-    shifted = theta - theta.max(axis=tuple(range(1, theta.ndim)), keepdims=True)
-    return np.clip(shifted, -6.0, 0.0)
-
-
-def _judge_snapped(ctx, targets, search: "_Search") -> list:
-    """Each restart of the search, judged as found and after snapping, one
-    stack per snap cutoff."""
-    F = _softmax(search.theta_f)
-    best = _judge(ctx, targets, F, search.B)
-    # Finite-difference descent cannot drive stray row mass much below
-    # ~1e-5, which is enough to miss hard distortion targets.  Rounding
-    # small entries away restores exact corners; try a few thresholds and
-    # keep whichever evaluation judges best.
-    for cutoff in _SNAP_THRESHOLDS:
-        snapped = _judge(ctx, targets, _snap_rows(F, cutoff), search.B)
-        best = [cand if _better(cand, inc) else inc for cand, inc in zip(snapped, best)]
-    return best
-
-
 def _search_sizes(spec, config) -> tuple[int, int]:
-    """(|U|, |V|) of the search: the config's override, else the defaults.
-    |V| below |Y| raises ``ValueError``: the search relays Y."""
+    """(|U|, |V|) of the solver: the config's override, else the defaults.
+    |V| below |Y| raises ``ValueError``: the solver relays Y."""
     nu, nv = config.cardinality_override or default_cardinalities(spec)
     if nv < len(spec.y_alpha):
-        raise ValueError(f"the search relays Y, so |V| must be at least |Y| = {len(spec.y_alpha)}, got {nv}")
+        raise ValueError(f"the solver relays Y, so |V| must be at least |Y| = {len(spec.y_alpha)}, got {nv}")
     return nu, nv
 
 
@@ -866,22 +764,21 @@ def minimize_r1(
 ) -> MinimizeResult:
     """Search for the cheapest forward rate meeting the targets.
 
-    Exterior-penalty descent on softmax-parameterized kernels: the objective
-    is r1 plus weighted squared constraint violations, with the weight swept
-    over ``_PENALTY_SCHEDULE``.  Restarts begin at the supplied seed policies
-    and continue from Dirichlet-random ones; every restart is deterministic
-    given (rng_seed, restart index) and the best feasible result wins, with
-    ties broken by restart index.  The restarts are split into contiguous
-    groups, one per worker, and each group's restarts descend in lockstep,
-    one stacked evaluation per step for the whole group; a restart's
-    outcome does not depend on its group, so neither does the result on
-    the worker count.  When no restart lands within the
-    feasibility tolerance the result carries ``feasible=False`` and the
-    smallest constraint residual seen.  A d3 target on a spec without a
-    third node raises ``ValueError``.
+    Each start runs ``config.max_iters`` iterations of the constrained
+    alternating minimization of ``_Solver``, then ``config.hops`` kicked
+    re-solves.  Starts begin at the supplied seed policies and continue
+    from Dirichlet-random forward kernels; every start is deterministic
+    given (rng_seed, start index) and the best feasible result wins, with
+    ties broken by start index.  The starts are split into contiguous
+    groups, one per worker process (``restart_workers``), and each group is
+    solved as one stack; a start's outcome does not depend on its group, so
+    neither does the result on the worker count.  When no start lands
+    within the feasibility tolerance the result carries ``feasible=False``
+    and the smallest constraint residual seen.  A d3 target on a spec
+    without a third node raises ``ValueError``.
 
     The backward kernel relays Y (``_identity_backward``), so |V| below |Y|
-    raises ``ValueError``; only the forward kernel is searched.
+    raises ``ValueError``; only the forward kernel is solved for.
     """
     if targets.gamma is None:
         raise ValueError("minimize_r1 needs a cost budget in targets.gamma")
@@ -891,7 +788,7 @@ def minimize_r1(
     nu, nv = _search_sizes(spec, config)
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
     seed_arrays += [None] * (config.restarts - len(seed_arrays))
-    workers = min(worker_count(), config.restarts)
+    workers = restart_workers(config)
     groups = np.array_split(np.arange(config.restarts), workers)
     payloads = [(ctx, targets, config, g.tolist(), [seed_arrays[i] for i in g]) for g in groups]
     if workers > 1:

@@ -11,10 +11,7 @@ from vendingrd.region import (
     Targets,
     _embed_seed,
     _EvalContext,
-    _identity_backward,
-    _random_arrays,
     _run_group,
-    _Search,
     default_cardinalities,
     evaluate_point,
     minimize_r1,
@@ -99,19 +96,20 @@ def test_search_output_is_pinned(monkeypatch, threads):
 @pytest.mark.parametrize(
     "node3,targets,r1",
     [
-        # 0.204 above case1_r1(0.3) and 0.380 above hb_case2_r1(0.6, 0.6): misses
-        (False, Targets(d1=0.5, d2=0.0, gamma=0.3), 1.4255818350955316),
-        (True, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), 0.5509775004327218),
-        # 0.0023 above case2_r1(0.3): within the benchmark's 0.05
-        (False, Targets(d1=0.0, d2=0.6, gamma=0.3), 0.44872122717168383),
+        # within 1e-12 of case1_r1(0.3) and 9.3e-5 above hb_case2_r1(0.6, 0.6)
+        (False, Targets(d1=0.5, d2=0.0, gamma=0.3), 1.2219280948868294),
+        (True, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), 0.1710433327768568),
+        # within 1e-11 of case2_r1(0.3)
+        (False, Targets(d1=0.0, d2=0.6, gamma=0.3), 0.446439344669433),
     ],
     ids=["case1_g0.3", "hb_g0.6_d0.6", "case2_g0.3"],
 )
 def test_benchmark_search_config_is_pinned(node3, targets, r1):
     """The benchmark's optimize config (8 restarts, 12 iterations, 4 hops,
-    sizes (3, 3)) returns the recorded r1 at seed 1, at two points it misses
-    and one it reaches, so a change that moves the search's output fails
-    here before it moves the benchmark's share of failed ops."""
+    sizes (3, 3)) returns the recorded r1 at seed 1, on the two points the
+    penalty-descent search missed and one it reached, all now within the
+    benchmark's 0.05 of their curves, so a change that moves the solver's
+    output fails here before it moves the benchmark's share of failed ops."""
     spec = binary_erasure_spec(EPS)
     if node3:
         spec = with_node3_erasure_metric(spec)
@@ -122,9 +120,9 @@ def test_benchmark_search_config_is_pinned(node3, targets, r1):
 
 
 @pytest.mark.parametrize("search", ["indirect", "third_node", "seeded"])
-def test_group_returns_each_restart_as_run_alone(monkeypatch, search):
-    """Restarts run in lockstep as one group return, bit for bit, what each
-    returns run alone, though their loops stop at different iterations."""
+def test_group_returns_each_restart_as_run_alone(search):
+    """Starts solved as one stack return, bit for bit, the kernel and r1
+    that each returns solved alone."""
     spec = binary_erasure_spec(EPS)
     targets, sizes, seeds = Targets(d1=0.0, d2=0.6, gamma=0.6), (3, 3), [None] * 4
     if search == "third_node":
@@ -135,38 +133,12 @@ def test_group_returns_each_restart_as_run_alone(monkeypatch, search):
         seeds[1] = _embed_seed(spec, appendixB_policy(ExampleCase("case2", EPS, 0.6)), *sizes)
     config = OptimizerConfig(restarts=4, max_iters=6, hops=2, cardinality_override=sizes, rng_seed=3)
     ctx = _EvalContext(spec)
-    calls = []
-    improve = _Search._improve
-
-    def recording(self, rows, idx, steps):
-        calls.append(len(idx))
-        return improve(self, rows, idx, steps)
-
-    monkeypatch.setattr(_Search, "_improve", recording)
     group = _run_group((ctx, targets, config, [0, 1, 2, 3], seeds))
-    assert any(moving < 4 for moving in calls)
     for i, got in enumerate(group):
         (want,) = _run_group((ctx, targets, config, [i], [seeds[i]]))
         assert got["point"].r1 == want["point"].r1, i
         assert np.array_equal(got["F"], want["F"]), i
         assert np.array_equal(got["B"], want["B"]), i
-
-
-@pytest.mark.parametrize("node3", [False, True], ids=["binding_d1", "third_node"])
-def test_search_carries_objective_and_d1(node3):
-    """After a run, each restart's carried objective, its d1 penalty
-    included, is bit for bit what its stored logits score."""
-    spec = binary_erasure_spec(EPS)
-    targets, sizes = Targets(d1=0.05, d2=0.6, gamma=0.4), (3, 3)
-    if node3:
-        spec = with_node3_erasure_metric(spec)
-        targets = Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6)
-    config = OptimizerConfig(restarts=4, max_iters=6, cardinality_override=sizes)
-    rng = np.random.default_rng(0)
-    theta_f = np.log(np.stack([_random_arrays(spec, *sizes, rng)[0] for _ in range(config.restarts)]))
-    search = _Search(_EvalContext(spec), targets, config, theta_f, _identity_backward(spec, *sizes))
-    search.run()
-    assert np.array_equal(search.base, search._scores(search.theta_f))
 
 
 def test_default_cardinality_search():
