@@ -547,7 +547,7 @@ def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
 # distortion, leaves about exp(-1e4 e) of mass on a cell that costs e more;
 # a cap of 400 left some tight nonzero targets unmet.
 _NU_CAP = 1e4
-# Newton steps per F step, and the step sizes each one tries
+# Newton steps per F step at most, and the step sizes each one tries
 _NEWTON_STEPS = 6
 _BACKTRACK = 0.5 ** np.arange(12)
 # r, q and F sweeps per decoder update
@@ -571,9 +571,10 @@ class _Solver:
     F's marginals, then F to the Gibbs kernel F(. | z) ∝ exp(θ - Σ_j ν_j
     c_j) with θ = ln r + Σ_y p(y | z, a) ln q, c_j the per-cell costs of the
     targets, and no mass on the cells whose chosen reconstruction is
-    forbidden (+inf).  The multipliers ν maximize the concave dual by
-    projected Newton steps, each taking the best of ``_BACKTRACK``'s step
-    sizes, with every ν capped at ``_NU_CAP``.  Every step is decided per
+    forbidden (+inf).  The multipliers ν maximize the concave dual by at
+    most ``_NEWTON_STEPS`` projected Newton steps, each taking the best of
+    ``_BACKTRACK``'s step sizes, with every ν capped at ``_NU_CAP``; a start
+    whose multipliers did not move is final.  Every step is decided per
     start and every sum runs along a start's own axes, so a start's
     iterates do not depend on the rest of its stack.
     """
@@ -632,35 +633,49 @@ class _Solver:
 
     def _dual(self, theta, costs, nu):
         """The dual objective at multipliers nu (..., J), and the Gibbs
-        kernels (..., z, cells) it is taken at."""
+        kernels (..., z, cells) it is taken at, unnormalized, with their
+        row sums: the kernels are ``mass / total``."""
         logits = theta - (nu[..., None, None] * costs).sum(axis=-3)
         top = logits.max(axis=-1, keepdims=True)
         mass = np.exp(logits - top)
         total = mass.sum(axis=-1, keepdims=True)
         g = -(self.pz * (top + np.log(total))[..., 0]).sum(axis=-1) - (nu * self.limits).sum(axis=-1)
-        return g, mass / total
+        return g, mass, total
 
     def _f_step(self, theta, costs, nu):
-        """The F step from multipliers nu: the kernels and their multipliers."""
+        """The F step from multipliers nu: the kernels and their multipliers.
+
+        A start whose step left ν where it was is final, since its next step
+        would be the same, so only the starts that moved step again."""
         n, J = nu.shape
+        eye = np.eye(J)
+        g, mass, total = self._dual(theta, costs, nu)
+        P, nu, live = mass / total, nu.copy(), np.arange(n)
         for _ in range(_NEWTON_STEPS):
-            g, P = self._dual(theta, costs, nu)
-            mean = (P[:, None] * costs).sum(axis=-1)
+            # views while every start is live
+            at = slice(None) if len(live) == n else live
+            th, co, p, v = theta[at], costs[at], P[at], nu[at]
+            mean = (p[:, None] * co).sum(axis=-1)
             grad = (mean * self.pz).sum(axis=-1) - self.limits
-            second = (P[:, None, None] * costs[:, :, None] * costs[:, None]).sum(axis=-1)
+            second = (p[:, None, None] * co[:, :, None] * co[:, None]).sum(axis=-1)
             hess = ((second - mean[:, :, None] * mean[:, None]) * self.pz).sum(axis=-1)
-            free = ~(((nu <= 0.0) & (grad < 0.0)) | ((nu >= _NU_CAP) & (grad > 0.0)))
+            free = ~(((v <= 0.0) & (grad < 0.0)) | ((v >= _NU_CAP) & (grad > 0.0)))
             system = np.where(free[:, :, None] & free[:, None], hess, 0.0)
-            system += np.eye(J) * np.where(free, 1e-12, 1.0)[:, :, None]
+            system += eye * np.where(free, 1e-12, 1.0)[:, :, None]
             step = np.linalg.solve(system, np.where(free, grad, 0.0)[..., None])[..., 0]
             # where the dual is flat the step is huge: shorten it to the cap
             step *= np.minimum(1.0, _NU_CAP / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
-            trials = np.clip(nu[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
-            g_trials = self._dual(theta[:, None], costs[:, None], trials)[0]
+            trials = np.clip(v[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
+            g_trials, mass, total = self._dual(th[:, None], co[:, None], trials)
             pick = g_trials.argmax(axis=1)
-            up = g_trials[np.arange(n), pick] > g
-            nu = np.where(up[:, None], trials[np.arange(n), pick], nu)
-        return self._dual(theta, costs, nu)[1], nu
+            moved = np.flatnonzero(g_trials.max(axis=1) > g[at])
+            pick, live = pick[moved], live[moved]
+            if not len(live):
+                break
+            # the chosen trial's dual is the dual at the new ν
+            nu[live], g[live] = trials[moved, pick], g_trials[moved, pick]
+            P[live] = mass[moved, pick] / total[moved, pick]
+        return P, nu
 
 
 def _decoded(weights, fin, inf, axes):

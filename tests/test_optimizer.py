@@ -4,14 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_acceptance import _criterion5_targets
+from test_search_battery import battery
 from vendingrd.closed_form import ExampleCase, appendixB_policy, case2_r1, example_rate
 from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
 from vendingrd.region import (
+    _BACKTRACK,
+    _DRAW_ALPHA,
+    _NEWTON_STEPS,
+    _NU_CAP,
     OptimizerConfig,
     Targets,
     _embed_seed,
     _EvalContext,
+    _random_forward,
     _run_group,
+    _Solver,
     default_cardinalities,
     evaluate_point,
     minimize_r1,
@@ -139,6 +147,106 @@ def test_group_returns_each_restart_as_run_alone(search):
         assert got["point"].r1 == want["point"].r1, i
         assert np.array_equal(got["F"], want["F"]), i
         assert np.array_equal(got["B"], want["B"]), i
+
+
+def _reference_dual(self, theta, costs, nu):
+    """The dual objective at multipliers nu (..., J), and the Gibbs
+    kernels (..., z, cells) it is taken at."""
+    logits = theta - (nu[..., None, None] * costs).sum(axis=-3)
+    top = logits.max(axis=-1, keepdims=True)
+    mass = np.exp(logits - top)
+    total = mass.sum(axis=-1, keepdims=True)
+    g = -(self.pz * (top + np.log(total))[..., 0]).sum(axis=-1) - (nu * self.limits).sum(axis=-1)
+    return g, mass / total
+
+
+def _reference_f_step(self, theta, costs, nu, steps=_NEWTON_STEPS):
+    """``_Solver._f_step`` with no early stop: every start takes every
+    Newton step, and the dual is taken afresh at each step's multipliers
+    and once more at the last.  ``steps`` sets the number of steps."""
+    n, J = nu.shape
+    for _ in range(steps):
+        g, P = _reference_dual(self, theta, costs, nu)
+        mean = (P[:, None] * costs).sum(axis=-1)
+        grad = (mean * self.pz).sum(axis=-1) - self.limits
+        second = (P[:, None, None] * costs[:, :, None] * costs[:, None]).sum(axis=-1)
+        hess = ((second - mean[:, :, None] * mean[:, None]) * self.pz).sum(axis=-1)
+        free = ~(((nu <= 0.0) & (grad < 0.0)) | ((nu >= _NU_CAP) & (grad > 0.0)))
+        system = np.where(free[:, :, None] & free[:, None], hess, 0.0)
+        system += np.eye(J) * np.where(free, 1e-12, 1.0)[:, :, None]
+        step = np.linalg.solve(system, np.where(free, grad, 0.0)[..., None])[..., 0]
+        # where the dual is flat the step is huge: shorten it to the cap
+        step *= np.minimum(1.0, _NU_CAP / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
+        trials = np.clip(nu[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
+        g_trials = _reference_dual(self, theta[:, None], costs[:, None], trials)[0]
+        pick = g_trials.argmax(axis=1)
+        up = g_trials[np.arange(n), pick] > g
+        nu = np.where(up[:, None], trials[np.arange(n), pick], nu)
+    return _reference_dual(self, theta, costs, nu)[1], nu
+
+
+def _retire_steps(solver, theta, costs, nu):
+    """Per start, the first Newton step that leaves its multipliers where
+    they were, or ``_NEWTON_STEPS`` + 1 if every step moves them."""
+    retire = np.full(len(nu), _NEWTON_STEPS + 1)
+    for step in range(1, _NEWTON_STEPS + 1):
+        after = _reference_f_step(solver, theta, costs, nu, 1)[1]
+        retire[(after == nu).all(axis=1) & (retire > step)] = step
+        nu = after
+    return retire
+
+
+def _f_step_inputs(spec, targets, rng):
+    """Each (θ, costs, ν) that the F step meets in two iterations of a
+    stack of four random starts: ν at zeros on the first, warm after; and
+    each (θ, costs) once more with every ν at the cap."""
+    solver = _Solver(_EvalContext(spec), targets)
+    seen = []
+
+    def record(theta, costs, nu):
+        seen.append((theta, costs, nu))
+        seen.append((theta, costs, np.full_like(nu, _NU_CAP)))
+        return _Solver._f_step(solver, theta, costs, nu)
+
+    solver._f_step = record
+    solver.solve(np.stack([_random_forward(spec, 3, rng, _DRAW_ALPHA) for _ in range(4)]), 2)
+    del solver._f_step
+    return solver, seen
+
+
+def test_f_step_matches_the_full_newton_loop():
+    """The F step returns, bit for bit, the kernels and multipliers of six
+    full Newton steps and a final dual, on random specs in all three modes
+    and on the erasure spec at the criterion-5 targets; the stacks include
+    starts that retire at different steps, one at the first, and stacks
+    where every start retires early."""
+    rng = np.random.default_rng(2026)
+    spec = binary_erasure_spec(EPS)
+    problems = [(s, t) for _, s, t in battery()]
+    problems += [(spec, _criterion5_targets(tag, g)) for tag in ("case1", "case2", "case3") for g in (0.3, 0.6, 0.9)]
+    staggered = early = 0
+    for spec, targets in problems:
+        solver, seen = _f_step_inputs(spec, targets, rng)
+        for theta, costs, nu in seen:
+            P, nu_out = solver._f_step(theta, costs, nu)
+            want_P, want_nu = _reference_f_step(solver, theta, costs, nu)
+            assert np.array_equal(P, want_P) and np.array_equal(nu_out, want_nu)
+            retire = _retire_steps(solver, theta, costs, nu)
+            staggered += retire.min() == 1 and len(set(retire)) > 1
+            early += retire.max() < _NEWTON_STEPS
+    assert staggered and early
+
+
+def test_search_digest_is_pinned(monkeypatch, capsys):
+    """``tools/search_digest.py`` prints the line recorded for seed 1 when
+    the alternating-minimization solver landed: the whole optimize pass of
+    the benchmark at that seed keeps its output bits."""
+    # restores sys.path afterwards, with the entries the tool adds
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    import search_digest
+
+    search_digest.main(["1"])
+    assert capsys.readouterr().out == "seed 1 misses 0 hb_gap 0.0000 digest e0dd633ea02308b9\n"
 
 
 def test_default_cardinality_search():
