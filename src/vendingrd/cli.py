@@ -81,7 +81,7 @@ def _closed_form_curves(args) -> list[tuple[str, float | None]]:
     return [(args.case, None)]
 
 
-def cmd_closed_form(args) -> tuple[list[str], int]:
+def cmd_closed_form(args) -> tuple[list[str], int, list[Path]]:
     curves = _closed_form_curves(args)
     grid = [float(g) for g in args.gamma] if args.gamma else _default_grid()
     epsilon = float(args.epsilon)
@@ -100,12 +100,12 @@ def cmd_closed_form(args) -> tuple[list[str], int]:
                 continue
             r2 = 0.0 if tag == "case1" else epsilon
             lines.append(f"{_fmt(g)},{_fmt(r1)},{_fmt(r2)},1")
-    return lines, 0
+    return lines, 0, []
 
 
 # --- operating-point reports -----------------------------------------------
 
-def cmd_evaluate(args) -> tuple[list[str], int]:
+def cmd_evaluate(args) -> tuple[list[str], int, list[Path]]:
     spec = load_spec(args.spec)
     policy = load_policy(args.policy)
     point = evaluate_point(spec, policy)
@@ -124,7 +124,7 @@ def cmd_evaluate(args) -> tuple[list[str], int]:
         ok, resid = check_markov(joint, left, mid, right)
         chain = " | ".join(",".join(group) for group in (left, mid, right))
         lines.append(f"markov {chain}: residual = {resid:.3g} ({'ok' if ok else 'violated'})")
-    return lines, 0
+    return lines, 0, []
 
 
 # --- rate sweeps -----------------------------------------------------------
@@ -160,7 +160,8 @@ def cmd_sweep(args) -> tuple[list[str], int, list[Path]]:
         if args.dump_policies is not None:
             directory = Path(args.dump_policies)
             directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"policy_gamma_{entry.gamma:g}.json"
+            # repr keeps every digit: --gammas 0.6000001 0.6000002 are two files
+            path = directory / f"policy_gamma_{entry.gamma!r}.json"
             save_policy(result.policy, path)
             extra_outputs.append(path)
     code = 0 if any(e.result.feasible for e in entries) else 3
@@ -180,10 +181,10 @@ def _sim_config(args) -> SimConfig:
     )
 
 
-def cmd_simulate(args) -> tuple[list[str], int]:
+def cmd_simulate(args) -> tuple[list[str], int, list[Path]]:
     row = run_scheme(_sim_config(args)).csv_row()
     lines = [",".join(row), ",".join(_fmt(v) if not isinstance(v, str) else v for v in row.values())]
-    return lines, 0
+    return lines, 0, []
 
 
 # --- plumbing --------------------------------------------------------------
@@ -290,9 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        produced = args.func(args)
-        lines, code = produced[0], produced[1]
-        extra_outputs = list(produced[2]) if len(produced) > 2 else []
+        lines, code, extra_outputs = args.func(args)
         text = "\n".join(lines) + "\n"
         if args.output is not None:
             args.output.write_text(text)

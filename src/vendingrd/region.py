@@ -347,14 +347,14 @@ class _EvalContext:
     """Precompiled tables for fast repeated policy evaluation on one spec.
 
     ``evaluate`` scores a stack of policies: F carries a leading policy axis
-    of length n, B one of length n or of length 1 when the whole stack shares
-    it, and every metric comes back as an array of length n.  The metrics are
+    of length n, B is one backward kernel shared by the stack, and the
+    result is the n policies' ``OperatingPoint``s.  A point has
     r1 = I(Z; A, W) + I(Z; U | A, W, Y), r2 = I(Y; V | Z, A, U, W), the
     expected cost, the Bayes distortions of node 1 from (Z, V) and node 2
-    from (U, Y), and, with a third node, d3 averaged over W.  Each
-    distortion comes with the mass that lands on forbidden (+inf) cells.
-    Without a third node W has one letter.  Each policy's metrics equal,
-    bit for bit, those of the same policy evaluated as a stack of one.
+    from (U, Y), and, with a third node, d3 averaged over W.  A distortion
+    is +inf where its decoder is forced onto a forbidden (+inf) cell.
+    Without a third node W has one letter.  Each policy's point equals,
+    bit for bit, that of the same policy evaluated as a stack of one.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -386,7 +386,7 @@ class _EvalContext:
             c_inf = None
         return c_fin, c_inf
 
-    def evaluate(self, F: np.ndarray, B: np.ndarray) -> dict:
+    def evaluate(self, F: np.ndarray, B: np.ndarray) -> list[OperatingPoint]:
         if not self.hb:
             # the two-node region is the third-node one with a one-letter W
             F, B = F[..., None], B[..., None, :]
@@ -408,52 +408,33 @@ class _EvalContext:
             - _entropy_of(pzawy.sum(axis=1))
         )
         r1[r1 < 0.0] = 0.0
-        fb = np.einsum("nzauw,nauywv->nzayv", F, B)
-        d1_fin, d1_inf = self._decode(np.einsum("nzayv,azyk->nvzk", fb, self.c1_fin), fb, self.c1_inf, "nzayv,azyk->nvzk")
-        Fu = F.sum(axis=4)
-        d2_fin, d2_inf = self._decode(np.einsum("nzau,azyk->nuyk", Fu, self.c2_fin), Fu, self.c2_inf, "nzau,azyk->nuyk")
-        pzauwyv = np.einsum("nzauwy,nauywv->nzauwyv", pzauwy, B)
+        fb = np.einsum("nzauw,auywv->nzayv", F, B)
+        d1 = self._decode(fb, self.c1_fin, self.c1_inf, "nzayv,azyk->nvzk")
+        d2 = self._decode(F.sum(axis=4), self.c2_fin, self.c2_inf, "nzau,azyk->nuyk")
+        pzauwyv = np.einsum("nzauwy,auywv->nzauwyv", pzauwy, B)
         r2 = h_zauwy + _entropy_of(pzauwyv.sum(axis=5)) - _entropy_of(pzauwyv) - _entropy_of(pzauw)
         r2[r2 < 0.0] = 0.0
-        m = {"r1": r1, "r2": r2, "gamma": gamma}
-        m.update(d1=d1_fin, d1_inf_mass=d1_inf, d2=d2_fin, d2_inf_mass=d2_inf)
+        d3 = [None] * len(F)
         if self.hb:
             Fw = F.sum(axis=3)
             # The sums over w, folded left in (a, z) order, add the terms
             # in the order of one policy's einsum "zaw,azw->", which runs a
             # single sum over (z, w) when |A| or |Z| is 1.
             sub = "nzaw,kazw->kn" if 1 in Fw.shape[1:3] else "nzaw,kazw->knaz"
-            m["d3"], m["d3_inf_mass"] = np.cumsum(np.einsum(sub, Fw, self.c3).reshape(2, len(F), -1), axis=2)[..., -1]
-        return m
+            fin, forbidden = np.cumsum(np.einsum(sub, Fw, self.c3).reshape(2, len(F), -1), axis=2)[..., -1]
+            d3 = np.where(forbidden > 0.0, np.inf, fin).tolist()
+        columns = (r1, r2, d1, d2, gamma)
+        return [OperatingPoint(*point) for point in zip(*(c.tolist() for c in columns), d3)]
 
     @staticmethod
-    def _decode(w_fin, left, c_inf, subscript) -> tuple[np.ndarray, np.ndarray]:
-        """Per policy, the sum of per-observation minima and the mass on
-        forbidden cells."""
-        n, k = len(w_fin), w_fin.shape[-1]
-        if c_inf is None:
-            return w_fin.reshape(n, -1, k).min(axis=2).sum(axis=1), np.zeros(n)
-        w_inf = np.einsum(subscript, left, c_inf).reshape(n, -1, k)
-        mins = np.where(w_inf > 0.0, np.inf, w_fin.reshape(n, -1, k)).min(axis=2)
-        bad = ~np.isfinite(mins)
-        fin, inf_mass = mins.sum(axis=1), np.zeros(n)
-        for i in np.flatnonzero(bad.any(axis=1)):
-            # drop the forbidden minima rather than add zeros in their place:
-            # numpy's pairwise sum groups the terms by position
-            fin[i] = mins[i][~bad[i]].sum()
-            inf_mass[i] = w_inf[i].min(axis=1)[bad[i]].sum()
-        return fin, inf_mass
-
-
-def _point_from_metrics(stacked: dict, i: int) -> OperatingPoint:
-    """The operating point of policy ``i`` of a stack's metrics."""
-    m = {key: float(value[i]) for key, value in stacked.items()}
-    d1 = np.inf if m["d1_inf_mass"] > 0.0 else m["d1"]
-    d2 = np.inf if m["d2_inf_mass"] > 0.0 else m["d2"]
-    d3 = None
-    if "d3" in m:
-        d3 = np.inf if m["d3_inf_mass"] > 0.0 else m["d3"]
-    return OperatingPoint(r1=m["r1"], r2=m["r2"], d1=d1, d2=d2, gamma=m["gamma"], d3=d3)
+    def _decode(left, c_fin, c_inf, subscript) -> np.ndarray:
+        """Per policy, the sum of per-observation minima, +inf where an
+        observation has forbidden mass on every reconstruction."""
+        w = np.einsum(subscript, left, c_fin)
+        w = w.reshape(len(w), -1, w.shape[-1])
+        if c_inf is not None:
+            w = np.where(np.einsum(subscript, left, c_inf).reshape(w.shape) > 0.0, np.inf, w)
+        return w.min(axis=2).sum(axis=1)
 
 
 def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
@@ -464,8 +445,7 @@ def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
     metric of the forward kernel's reconstruction W.
     """
     _check_compatible(spec, policy)
-    metrics = _EvalContext(spec).evaluate(policy.forward.table[None], policy.backward.table[None])
-    return _point_from_metrics(metrics, 0)
+    return _EvalContext(spec).evaluate(policy.forward.table[None], policy.backward.table)[0]
 
 
 # --- policy serialization ---------------------------------------------------
@@ -715,7 +695,7 @@ def _run_group(payload) -> list:
 
     starts = [draw(rng) if seeded is None else seeded[0] for rng, seeded in zip(rngs, seed_arrays)]
     solver = _Solver(ctx, targets)
-    B = _identity_backward(spec, nu, nv)[None]
+    B = _identity_backward(spec, nu, nv)
     best = _judge(ctx, targets, solver.solve(np.stack(starts), config.max_iters), B)
     for _ in range(config.hops):
         mixed = np.stack([0.5 * (inc["F"] + draw(rng)) for inc, rng in zip(best, rngs)])
@@ -726,7 +706,7 @@ def _run_group(payload) -> list:
         if seeded is not None:
             # never return anything worse than the seed itself, judged with
             # its own backward kernel
-            (as_given,) = _judge(ctx, targets, *(side[None] for side in seeded))
+            (as_given,) = _judge(ctx, targets, seeded[0][None], seeded[1])
             if _better(as_given, best[i]):
                 best[i] = as_given
     return best
@@ -742,16 +722,15 @@ def _search_sizes(spec, config) -> tuple[int, int]:
 
 
 def _judge(ctx, targets, F, B) -> list:
-    """Each policy of a stack judged against the targets; B may be shared."""
-    m = ctx.evaluate(F, B)
+    """Each forward kernel of the stack F, with the shared backward kernel B,
+    judged against the targets."""
     judged = []
-    for i in range(len(F)):
-        point = _point_from_metrics(m, i)
+    for f, point in zip(F, ctx.evaluate(F, B)):
         residuals = _true_residuals(point, targets)
         worst = max(residuals.values())
         judged.append({
-            "F": F[i],
-            "B": B[i % len(B)],
+            "F": f,
+            "B": B,
             "point": point,
             "residuals": residuals,
             "worst": worst,
@@ -852,7 +831,7 @@ def sweep_gamma(
     config: OptimizerConfig = OptimizerConfig(),
     seeds: Sequence[Policy] = (),
 ) -> list[SweepEntry]:
-    """minimize_r1 along an ascending cost-budget grid with warm starts.
+    """minimize_r1 along a strictly ascending cost-budget grid with warm starts.
 
     Each grid point is seeded with the last feasible point's policy, which
     stays feasible at a larger budget.  The seeded restart never returns
@@ -862,8 +841,8 @@ def sweep_gamma(
     if targets.gamma is not None:
         raise ValueError("sweep_gamma varies gamma; leave targets.gamma unset")
     grid = [float(g) for g in gamma_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("gamma_grid must be ascending")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"gamma_grid must be strictly ascending, got {grid}")
     entries: list[SweepEntry] = []
     carry: list[Policy] = []
     for g in grid:

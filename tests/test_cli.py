@@ -278,6 +278,27 @@ def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path, monkeypatch):
     assert manifest["python_version"] == platform.python_version()
 
 
+def test_sweep_dumps_one_policy_per_close_gamma(spec_path, tmp_path):
+    """Budgets that agree to 6 significant digits still get their own files."""
+    out_csv = tmp_path / "sweep.csv"
+    dump_dir = tmp_path / "policies"
+    code = main(
+        [
+            "sweep", "--spec", str(spec_path), "--d1", "0.5", "--d2", "1.0",
+            "--gammas", "0.6000001", "0.6000002", "--restarts", "1", "--max-iters", "1",
+            "--hops", "0", "--cardinality", "3", "3",
+            "--dump-policies", str(dump_dir), "--output", str(out_csv),
+        ]
+    )
+    assert code == 0
+    dumped = [dump_dir / "policy_gamma_0.6000001.json", dump_dir / "policy_gamma_0.6000002.json"]
+    assert sorted(dump_dir.iterdir()) == dumped
+    for path in dumped:
+        load_policy(path)
+    outputs = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == sorted([str(out_csv)] + [str(p) for p in dumped])
+
+
 def test_simulate_is_deterministic(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -318,6 +318,8 @@ def test_sweep_rejects_bad_grids():
     with pytest.raises(ValueError):
         sweep_gamma(spec, Targets(d1=0.0, d2=1.0), [0.6, 0.3])
     with pytest.raises(ValueError):
+        sweep_gamma(spec, Targets(d1=0.0, d2=1.0), [0.6, 0.6])
+    with pytest.raises(ValueError):
         sweep_gamma(spec, Targets(d1=0.0, d2=1.0, gamma=0.5), [0.3, 0.6])
 
 
