@@ -37,7 +37,6 @@ from .region import (
     markov_chains,
     save_policy,
     sweep_gamma,
-    restart_workers,
 )
 from .sim import SCHEMES, SimConfig, run_scheme, trial_workers
 
@@ -198,12 +197,10 @@ def _jsonable(value):
 
 
 def _workers_used(args) -> int:
-    """The workers the command ran on: simulate's trial threads, sweep's
-    restart processes; tables and reports run in-process."""
+    """The workers the command ran on: simulate's trial threads; every
+    other command runs in-process."""
     if args.command == "simulate":
         return trial_workers(_sim_config(args))
-    if args.command == "sweep":
-        return restart_workers(_optimizer_config(args))
     return 1
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -130,10 +130,12 @@ class Targets:
 class OptimizerConfig:
     """Settings of ``minimize_r1``.
 
-    ``restarts`` is the number of solver starts; ``max_iters`` the
-    iterations of one solve; ``hops`` the kicked re-solves per start;
-    ``rng_seed`` seeds every start's stream; ``cardinality_override`` sets
-    (|U|, |V|) in place of ``default_cardinalities``.
+    ``restarts`` is the number of solver starts, all solved in the calling
+    process as one stack; ``max_iters`` the iterations of one solve;
+    ``hops`` the kicked re-solves per start; ``rng_seed``, a nonnegative
+    integer, keys every start's stdlib stream with the start's index;
+    ``cardinality_override`` sets (|U|, |V|) in place of
+    ``default_cardinalities``.
     """
 
     restarts: int = 8
@@ -149,6 +151,8 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
         if self.hops < 0:
             raise ValueError("hops must be nonnegative")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         if self.cardinality_override is not None:
             nu, nv = self.cardinality_override
             if nu < 1 or nv < 1:
@@ -491,8 +495,8 @@ def load_policy(path) -> Policy:
 # --- alternating-minimization solver ----------------------------------------
 
 def worker_count() -> int:
-    """The most workers a pool may start, restart processes or simulation
-    threads: the core count, capped by ``VENDINGRD_THREADS`` when it is set."""
+    """The most threads a simulation may start: the core count, capped by
+    ``VENDINGRD_THREADS`` when it is set."""
     workers = os.cpu_count() or 1
     cap_raw = os.environ.get("VENDINGRD_THREADS")
     if cap_raw:
@@ -504,12 +508,6 @@ def worker_count() -> int:
             raise ValueError(f"VENDINGRD_THREADS must be a positive integer, got {cap_raw!r}")
         workers = min(workers, cap)
     return workers
-
-
-def restart_workers(config: OptimizerConfig) -> int:
-    """Processes ``minimize_r1`` runs ``config``'s starts on: one per start,
-    up to ``worker_count``."""
-    return min(worker_count(), config.restarts)
 
 
 def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
@@ -676,29 +674,34 @@ def _decoded(weights, fin, inf, axes):
     return np.take_along_axis(fin, pick, axis=-1).sum(axis=(-2, -1)), bad
 
 
-def _run_group(payload) -> list:
+def _run_group(ctx, targets, config, indices, seed_arrays) -> list:
     """Starts ``indices`` as one stack; each one's best outcome, in order.
 
-    Every start draws from its own stream, seeded by (rng_seed, index): its
-    first forward kernel, unless a seed gives it, then one per hop.  A hop
-    re-solves from an even mix of the start's best kernel and a fresh draw
-    and keeps what it finds if ``_better`` prefers it, so each outcome is
-    the one the start reaches alone.
+    Every start draws from its own ``random.Random`` stream, seeded by the
+    string of (rng_seed, index), which no process or platform changes: its
+    first forward kernel, unless a seed gives it, then one per hop.  A draw
+    takes Gamma(``_DRAW_ALPHA``) variates and normalizes each z row, a
+    Dirichlet(``_DRAW_ALPHA``) row.  A hop re-solves from an even mix of the
+    start's best kernel and a fresh draw and keeps what it finds if
+    ``_better`` prefers it, so each outcome is the one the start reaches
+    alone.
     """
-    ctx, targets, config, indices, seed_arrays = payload
     spec = ctx.spec
     nu, nv = _search_sizes(spec, config)
-    rngs = [np.random.default_rng(np.random.SeedSequence((config.rng_seed, i))) for i in indices]
+    shape = _kernel_shapes(spec, nu, nv)[0]
+    streams = [random.Random(f"{config.rng_seed} {i}") for i in indices]
 
-    def draw(rng):
-        return _random_forward(spec, nu, rng, _DRAW_ALPHA)
+    def draw(stream):
+        rows = np.array([stream.gammavariate(_DRAW_ALPHA, 1.0) for _ in range(math.prod(shape))])
+        rows = rows.reshape(shape[0], -1)
+        return (rows / rows.sum(axis=1, keepdims=True)).reshape(shape)
 
-    starts = [draw(rng) if seeded is None else seeded[0] for rng, seeded in zip(rngs, seed_arrays)]
+    starts = [draw(stream) if seeded is None else seeded[0] for stream, seeded in zip(streams, seed_arrays)]
     solver = _Solver(ctx, targets)
     B = _identity_backward(spec, nu, nv)
     best = _judge(ctx, targets, solver.solve(np.stack(starts), config.max_iters), B)
     for _ in range(config.hops):
-        mixed = np.stack([0.5 * (inc["F"] + draw(rng)) for inc, rng in zip(best, rngs)])
+        mixed = np.stack([0.5 * (inc["F"] + draw(stream)) for inc, stream in zip(best, streams)])
         for i, cand in enumerate(_judge(ctx, targets, solver.solve(mixed, config.max_iters), B)):
             if _better(cand, best[i]):
                 best[i] = cand
@@ -763,12 +766,11 @@ def minimize_r1(
     re-solves.  Starts begin at the supplied seed policies and continue
     from Dirichlet-random forward kernels; every start is deterministic
     given (rng_seed, start index) and the best feasible result wins, with
-    ties broken by start index.  The starts are split into contiguous
-    groups, one per worker process (``restart_workers``), and each group is
-    solved as one stack; a start's outcome does not depend on its group, so
-    neither does the result on the worker count.  When no start lands
-    within the feasibility tolerance the result carries ``feasible=False``
-    and the smallest constraint residual seen.  A d3 target on a spec
+    ties broken by start index.  All starts are solved in the calling
+    process as one stack (``_run_group``); a start's outcome does not
+    depend on the stack.  When no start lands within the feasibility
+    tolerance the result carries ``feasible=False`` and the smallest
+    constraint residual seen.  A d3 target on a spec
     without a third node raises ``ValueError``.
 
     The backward kernel relays Y (``_identity_backward``), so |V| below |Y|
@@ -782,19 +784,10 @@ def minimize_r1(
     nu, nv = _search_sizes(spec, config)
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
     seed_arrays += [None] * (config.restarts - len(seed_arrays))
-    workers = restart_workers(config)
-    groups = np.array_split(np.arange(config.restarts), workers)
-    payloads = [(ctx, targets, config, g.tolist(), [seed_arrays[i] for i in g]) for g in groups]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            group_outcomes = list(pool.map(_run_group, payloads))
-    else:
-        group_outcomes = [_run_group(p) for p in payloads]
     best = None
-    for outcomes in group_outcomes:
-        for cand in outcomes:
-            if best is None or _better(cand, best):
-                best = cand
+    for cand in _run_group(ctx, targets, config, range(config.restarts), seed_arrays):
+        if best is None or _better(cand, best):
+            best = cand
     policy = _policy_from_arrays(spec, best["F"], best["B"])
     return MinimizeResult(
         point=best["point"],

@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError(f"block length must be at least 1, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         self.target_rate
 
     @property

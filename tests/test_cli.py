@@ -343,6 +343,31 @@ def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):
     assert manifest["workers"] == 1
 
 
+def test_sweep_manifest_records_one_worker(spec_path, tmp_path, monkeypatch):
+    """A sweep solves its starts in-process whatever the thread cap."""
+    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+    out_csv = tmp_path / "sweep.csv"
+    flags = [
+        "sweep", "--spec", str(spec_path), "--d1", "0.5", "--d2", "1.0", "--gammas", "0.5",
+        "--restarts", "2", "--max-iters", "1", "--hops", "0", "--cardinality", "3", "3",
+        "--output", str(out_csv),
+    ]
+    assert main(flags) == 0
+    assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["workers"] == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_seed_exits_2(command, spec_path, capsys):
+    flags = {
+        "simulate": ["simulate", "--scheme", "case1", "--n", "100", "--epsilon", "0.2", "--gamma", "0.4"],
+        "sweep": ["sweep", "--spec", str(spec_path), "--d1", "0.5", "--d2", "1.0", "--gammas", "0.5"],
+    }[command]
+    assert main(flags + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rng_seed must be nonnegative, got -1\n"
+
+
 def test_parser_reuse_carries_nothing_between_commands(spec_path, tmp_path):
     parser = _build_parser()
     assert _build_parser() is parser

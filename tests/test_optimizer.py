@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,9 @@ from vendingrd.region import (
     evaluate_point,
     minimize_r1,
     sweep_gamma,
+    worker_count,
 )
+from vendingrd.sim import POOL_MIN_SYMBOLS, SimConfig, run_scheme
 
 EPS = 0.2
 
@@ -68,7 +73,7 @@ def test_search_is_deterministic():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_search_output_is_pinned(monkeypatch, threads):
-    """The search returns the recorded policies whatever the worker count."""
+    """The search returns the recorded policies whatever the thread cap."""
     pinned = json.loads((Path(__file__).parent / "data" / "search_pinned.json").read_text())
     monkeypatch.setenv("VENDINGRD_THREADS", threads)
     spec = binary_erasure_spec(EPS)
@@ -84,7 +89,7 @@ def test_search_output_is_pinned(monkeypatch, threads):
         "case1": (spec, Targets(d1=0.5, d2=0.0, gamma=0.4), two_restarts((3, 3))),
         "third_node_slack": (node3, Targets(d1=0.5, d2=1.0, d3=0.6, gamma=0.6), two_restarts((3, 3))),
         "third_node": (node3, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), two_restarts((3, 3))),
-        # one group of 8 restarts at 1 worker, two groups of 4 at 2
+        # eight starts in one stack
         "case3_eight_restarts": (
             spec,
             Targets(d1=0.0, d2=0.0, gamma=0.6),
@@ -104,9 +109,9 @@ def test_search_output_is_pinned(monkeypatch, threads):
 @pytest.mark.parametrize(
     "node3,targets,r1",
     [
-        # within 1e-12 of case1_r1(0.3) and 9.3e-5 above hb_case2_r1(0.6, 0.6)
+        # within 1e-12 of case1_r1(0.3) and 6.0e-5 above hb_case2_r1(0.6, 0.6)
         (False, Targets(d1=0.5, d2=0.0, gamma=0.3), 1.2219280948868294),
-        (True, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), 0.1710433327768568),
+        (True, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), 0.17101034727490738),
         # within 1e-11 of case2_r1(0.3)
         (False, Targets(d1=0.0, d2=0.6, gamma=0.3), 0.446439344669433),
     ],
@@ -141,9 +146,9 @@ def test_group_returns_each_restart_as_run_alone(search):
         seeds[1] = _embed_seed(spec, appendixB_policy(ExampleCase("case2", EPS, 0.6)), *sizes)
     config = OptimizerConfig(restarts=4, max_iters=6, hops=2, cardinality_override=sizes, rng_seed=3)
     ctx = _EvalContext(spec)
-    group = _run_group((ctx, targets, config, [0, 1, 2, 3], seeds))
+    group = _run_group(ctx, targets, config, [0, 1, 2, 3], seeds)
     for i, got in enumerate(group):
-        (want,) = _run_group((ctx, targets, config, [i], [seeds[i]]))
+        (want,) = _run_group(ctx, targets, config, [i], [seeds[i]])
         assert got["point"].r1 == want["point"].r1, i
         assert np.array_equal(got["F"], want["F"]), i
         assert np.array_equal(got["B"], want["B"]), i
@@ -239,14 +244,14 @@ def test_f_step_matches_the_full_newton_loop():
 
 def test_search_digest_is_pinned(monkeypatch, capsys):
     """``tools/search_digest.py`` prints the line recorded for seed 1 when
-    the alternating-minimization solver landed: the whole optimize pass of
-    the benchmark at that seed keeps its output bits."""
+    the starts began drawing from stdlib streams: the whole optimize pass
+    of the benchmark at that seed keeps its output bits."""
     # restores sys.path afterwards, with the entries the tool adds
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
     import search_digest
 
     search_digest.main(["1"])
-    assert capsys.readouterr().out == "seed 1 misses 0 hb_gap 0.0000 digest e0dd633ea02308b9\n"
+    assert capsys.readouterr().out == "seed 1 misses 0 hb_gap 0.0001 digest 07494a64c1af77ac\n"
 
 
 def test_default_cardinality_search():
@@ -324,18 +329,24 @@ def test_sweep_rejects_bad_grids():
 
 
 def test_thread_cap_must_parse(monkeypatch):
-    spec = binary_erasure_spec(EPS)
-    targets = Targets(d1=0.5, d2=1.0, gamma=0.5)
-    config = OptimizerConfig(restarts=2, max_iters=2, hops=0, cardinality_override=(1, 3))
+    """The search reads no thread cap; a long simulation, which runs its
+    trials on threads, and ``worker_count`` refuse a cap that is not a
+    positive integer."""
+    config = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, trials=4)
     monkeypatch.setenv("VENDINGRD_THREADS", "one")
     with pytest.raises(ValueError):
-        minimize_r1(spec, targets, config)
+        worker_count()
+    with pytest.raises(ValueError):
+        run_scheme(config)
     for cap in ("0", "-1"):
         monkeypatch.setenv("VENDINGRD_THREADS", cap)
         with pytest.raises(ValueError):
-            minimize_r1(spec, targets, config)
+            worker_count()
+        with pytest.raises(ValueError):
+            run_scheme(config)
     monkeypatch.setenv("VENDINGRD_THREADS", "1")
-    minimize_r1(spec, targets, config)
+    assert worker_count() == 1
+    assert len(run_scheme(config).forward_bits) == 4
 
 
 def test_search_rejects_v_smaller_than_y():
@@ -357,3 +368,26 @@ def test_config_validation():
         OptimizerConfig(hops=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(cardinality_override=(0, 3))
+
+
+def test_negative_rng_seed_is_rejected():
+    with pytest.raises(ValueError, match="rng_seed"):
+        OptimizerConfig(rng_seed=-1)
+    OptimizerConfig(rng_seed=0)
+
+
+def test_search_runs_in_process_without_numpy_random():
+    """A search solves its starts in the calling process and draws them from
+    stdlib streams, so it imports neither a process pool nor numpy.random."""
+    code = (
+        "import sys\n"
+        "from vendingrd import OptimizerConfig, Targets, binary_erasure_spec, minimize_r1, with_node3_erasure_metric\n"
+        "spec = with_node3_erasure_metric(binary_erasure_spec(0.2))\n"
+        "config = OptimizerConfig(restarts=2, max_iters=2, hops=1, cardinality_override=(3, 3))\n"
+        "assert minimize_r1(spec, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), config).feasible\n"
+        "print(sorted(m for m in ('numpy.random', 'multiprocessing') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "VENDINGRD_THREADS": "2"}, check=True)
+    assert done.stdout == "[]\n"

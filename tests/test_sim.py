@@ -1,10 +1,11 @@
 import math
+import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from vendingrd import region, sim
+from vendingrd import sim
 from vendingrd.closed_form import case1_r1, case3_r1
 from vendingrd.model import InfeasibleError
 from vendingrd.probability import binary_entropy
@@ -101,6 +102,11 @@ def test_trials_never_beat_the_curve_at_their_empirical_point():
             assert fw >= bound - 1e-9
 
 
+def test_negative_rng_seed_is_rejected():
+    with pytest.raises(ValueError, match="rng_seed"):
+        SimConfig("case1", 100, 0.2, 0.4, rng_seed=-1)
+
+
 def test_runs_are_reproducible_and_seed_sensitive():
     config = SimConfig("case1", 2000, 0.2, 0.4, rng_seed=9, trials=4)
     first = run_scheme(config)
@@ -138,10 +144,10 @@ def test_short_runs_start_no_pool(monkeypatch):
 
 
 def test_long_runs_fork_no_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a simulation started a process pool")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a simulation forked a process")
 
-    monkeypatch.setattr(region, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("VENDINGRD_THREADS", "2")
     config = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, rng_seed=1, trials=4)
     assert trial_workers(config) == worker_count()

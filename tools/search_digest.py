@@ -8,8 +8,9 @@ third-node probe gap, and a SHA-256 over every search's r1, r2 and policy
 tables.  The probe gap is how far ``minimize_r1`` at
 ``workloads.search_config(seed)`` ends above ``hb_case2_r1`` at γ 0.9 and
 d3 0.4, the point of the benchmark's ``region.hb_gap.g0.9_d0.4``.  Two trees
-whose searches return the same bits print the same lines, at any worker
-count (``VENDINGRD_THREADS``).
+whose searches return the same bits print the same lines.  A search runs
+in this process and its starts draw from stdlib streams keyed by
+(rng_seed, start index), so ``VENDINGRD_THREADS`` does not change a line.
 """
 import hashlib
 import sys
