@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = OptimizerConfig()
     p_sw.add_argument("--restarts", type=int, default=defaults.restarts)
     p_sw.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iterations per solve")
-    p_sw.add_argument("--hops", type=int, default=defaults.hops, help="kicked re-solves per start")
+    p_sw.add_argument("--hops", type=int, default=defaults.hops, help="extra fresh draws per start")
     p_sw.add_argument("--seed", type=int, default=defaults.rng_seed)
     p_sw.add_argument("--cardinality", type=int, nargs=2, metavar=("NU", "NV"),
                       help="solver sizes |U| and |V|; NV must be at least |Y|, since V relays Y")

@@ -130,9 +130,9 @@ class Targets:
 class OptimizerConfig:
     """Settings of ``minimize_r1``.
 
-    ``restarts`` is the number of solver starts, all solved in the calling
-    process as one stack; ``max_iters`` the iterations of one solve;
-    ``hops`` the kicked re-solves per start; ``rng_seed``, a nonnegative
+    ``restarts`` is the number of solver starts; ``hops`` the extra fresh
+    draws per start, all solved in the calling process as one stack;
+    ``max_iters`` the iterations of one solve; ``rng_seed``, a nonnegative
     integer, keys every start's stdlib stream with the start's index;
     ``cardinality_override`` sets (|U|, |V|) in place of
     ``default_cardinalities``.
@@ -530,8 +530,8 @@ _NEWTON_STEPS = 6
 _BACKTRACK = 0.5 ** np.arange(12)
 # r, q and F sweeps per decoder update
 _SWEEPS = 2
-# Starts and hops draw sparse Dirichlet rows: near-deterministic kernels
-# reach corner optima that uniform ones converge away from.
+# A start's draws, its first kernel and one per hop, have sparse Dirichlet
+# rows: near-deterministic kernels reach corner optima that uniform ones miss.
 _DRAW_ALPHA = 0.1
 # keeps 0 log 0 = 0 in the r and q steps without masking
 _TINY = 1e-300
@@ -681,38 +681,29 @@ def _run_group(ctx, targets, config, indices, seed_arrays) -> list:
     string of (rng_seed, index), which no process or platform changes: its
     first forward kernel, unless a seed gives it, then one per hop.  A draw
     takes Gamma(``_DRAW_ALPHA``) variates and normalizes each z row, a
-    Dirichlet(``_DRAW_ALPHA``) row.  A hop re-solves from an even mix of the
-    start's best kernel and a fresh draw and keeps what it finds if
-    ``_better`` prefers it, so each outcome is the one the start reaches
-    alone.
+    Dirichlet(``_DRAW_ALPHA``) row.  Every start's 1 + ``hops`` kernels are
+    solved in one stack, and its outcome is the ``_best`` of them, then of
+    its seed as given, so each outcome is the one the start reaches alone.
     """
-    spec = ctx.spec
-    nu, nv = _search_sizes(spec, config)
-    shape = _kernel_shapes(spec, nu, nv)[0]
-    streams = [random.Random(f"{config.rng_seed} {i}") for i in indices]
+    nu, nv = _search_sizes(ctx.spec, config)
+    shape = _kernel_shapes(ctx.spec, nu, nv)[0]
+    per_start = 1 + config.hops
 
-    def draw(stream):
-        rows = np.array([stream.gammavariate(_DRAW_ALPHA, 1.0) for _ in range(math.prod(shape))])
-        rows = rows.reshape(shape[0], -1)
-        return (rows / rows.sum(axis=1, keepdims=True)).reshape(shape)
+    def draws(index, seeded):
+        stream = random.Random(f"{config.rng_seed} {index}")
+        kernels = [] if seeded is None else [seeded[0]]
+        while len(kernels) < per_start:
+            rows = np.array([stream.gammavariate(_DRAW_ALPHA, 1.0) for _ in range(math.prod(shape))])
+            rows = rows.reshape(shape[0], -1)
+            kernels.append((rows / rows.sum(axis=1, keepdims=True)).reshape(shape))
+        return kernels
 
-    starts = [draw(stream) if seeded is None else seeded[0] for stream, seeded in zip(streams, seed_arrays)]
-    solver = _Solver(ctx, targets)
-    B = _identity_backward(spec, nu, nv)
-    best = _judge(ctx, targets, solver.solve(np.stack(starts), config.max_iters), B)
-    for _ in range(config.hops):
-        mixed = np.stack([0.5 * (inc["F"] + draw(stream)) for inc, stream in zip(best, streams)])
-        for i, cand in enumerate(_judge(ctx, targets, solver.solve(mixed, config.max_iters), B)):
-            if _better(cand, best[i]):
-                best[i] = cand
-    for i, seeded in enumerate(seed_arrays):
-        if seeded is not None:
-            # never return anything worse than the seed itself, judged with
-            # its own backward kernel
-            (as_given,) = _judge(ctx, targets, seeded[0][None], seeded[1])
-            if _better(as_given, best[i]):
-                best[i] = as_given
-    return best
+    F = np.stack([f for index, seeded in zip(indices, seed_arrays) for f in draws(index, seeded)])
+    B = _identity_backward(ctx.spec, nu, nv)
+    judged = _judge(ctx, targets, _Solver(ctx, targets).solve(F, config.max_iters), B)
+    # a start never ends worse than its seed as given, judged with its own backward kernel
+    as_given = [[] if s is None else _judge(ctx, targets, s[0][None], s[1]) for s in seed_arrays]
+    return [_best(judged[k * per_start : (k + 1) * per_start] + as_given[k]) for k in range(len(as_given))]
 
 
 def _search_sizes(spec, config) -> tuple[int, int]:
@@ -753,6 +744,16 @@ def _better(cand, incumbent) -> bool:
     return cand["point"].r2 < incumbent["point"].r2 - 1e-12
 
 
+def _best(judged: list) -> dict:
+    """The outcome kept when each of ``judged`` in turn replaces the one
+    kept so far only if ``_better`` prefers it: ties go to the earlier."""
+    best = judged[0]
+    for cand in judged[1:]:
+        if _better(cand, best):
+            best = cand
+    return best
+
+
 def minimize_r1(
     spec: ProblemSpec,
     targets: Targets,
@@ -761,17 +762,17 @@ def minimize_r1(
 ) -> MinimizeResult:
     """Search for the cheapest forward rate meeting the targets.
 
-    Each start runs ``config.max_iters`` iterations of the constrained
-    alternating minimization of ``_Solver``, then ``config.hops`` kicked
-    re-solves.  Starts begin at the supplied seed policies and continue
-    from Dirichlet-random forward kernels; every start is deterministic
-    given (rng_seed, start index) and the best feasible result wins, with
-    ties broken by start index.  All starts are solved in the calling
-    process as one stack (``_run_group``); a start's outcome does not
-    depend on the stack.  When no start lands within the feasibility
-    tolerance the result carries ``feasible=False`` and the smallest
-    constraint residual seen.  A d3 target on a spec
-    without a third node raises ``ValueError``.
+    Each start solves 1 + ``config.hops`` forward kernels, a supplied seed
+    policy or a Dirichlet-random draw and then ``hops`` fresh draws, for
+    ``config.max_iters`` iterations of the constrained alternating
+    minimization of ``_Solver``.  Every kernel is solved in the calling
+    process in one stack (``_run_group``), and a start's outcome does not
+    depend on the stack.  Every start is deterministic given (rng_seed,
+    start index), and ``_best`` picks the winner: ties go to the earlier
+    start, then the earlier draw.  When no start lands within the
+    feasibility tolerance the result carries ``feasible=False`` and the
+    smallest constraint residual seen.  A d3 target on a spec without a
+    third node raises ``ValueError``.
 
     The backward kernel relays Y (``_identity_backward``), so |V| below |Y|
     raises ``ValueError``; only the forward kernel is solved for.
@@ -784,10 +785,7 @@ def minimize_r1(
     nu, nv = _search_sizes(spec, config)
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
     seed_arrays += [None] * (config.restarts - len(seed_arrays))
-    best = None
-    for cand in _run_group(ctx, targets, config, range(config.restarts), seed_arrays):
-        if best is None or _better(cand, best):
-            best = cand
+    best = _best(_run_group(ctx, targets, config, range(config.restarts), seed_arrays))
     policy = _policy_from_arrays(spec, best["F"], best["B"])
     return MinimizeResult(
         point=best["point"],
