@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import InfeasibleError, binary_erasure_spec
 from .probability import Alphabet, Kernel, binary_entropy, plog2p
-from .region import Policy
+from .region import Policy, _identity_backward
 
 CASE_TAGS = ("case1", "case2", "case2_ts", "case3", "hb_case2")
 
@@ -34,10 +34,7 @@ class ExampleCase:
     def __post_init__(self) -> None:
         if self.tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.tag!r}; expected one of {CASE_TAGS}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon {self.epsilon!r} outside [0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma {self.gamma!r} outside [0, 1]")
+        _check_budget(self.epsilon, self.gamma)
         if self.tag == "hb_case2":
             if self.d3 is None or not (math.isfinite(self.d3) and self.d3 >= 0.0):
                 raise ValueError("hb_case2 needs a finite, nonnegative d3 level")
@@ -51,19 +48,13 @@ def _h2_array(p: np.ndarray) -> np.ndarray:
 
 def case1_r1(epsilon: float, gamma: float) -> float:
     """Forward rate for a perfect node-2 copy of Z (no backward link needed)."""
-    _check_unit("epsilon", epsilon)
-    _check_unit("gamma", gamma)
+    _check_budget(epsilon, gamma)
     return binary_entropy(epsilon) + max(1.0 - epsilon - gamma, 0.0)
 
 
 def case2_r1(epsilon: float, gamma: float) -> float:
     """Forward rate for a perfect node-1 copy of X; needs gamma >= epsilon."""
-    _check_unit("epsilon", epsilon)
-    _check_unit("gamma", gamma)
-    if gamma < epsilon:
-        raise InfeasibleError(
-            f"perfect node-1 reconstruction needs a cost budget of at least {epsilon}, got {gamma}"
-        )
+    _check_budget(epsilon, gamma, "perfect node-1 reconstruction")
     if gamma == 0.0:
         return 0.0
     return binary_entropy(epsilon) - gamma * binary_entropy(epsilon / gamma)
@@ -71,12 +62,7 @@ def case2_r1(epsilon: float, gamma: float) -> float:
 
 def case2_ts_r1(epsilon: float, gamma: float) -> float:
     """Time-sharing alternative for the case-2 constraints (strictly worse inside)."""
-    _check_unit("epsilon", epsilon)
-    _check_unit("gamma", gamma)
-    if gamma < epsilon:
-        raise InfeasibleError(
-            f"time sharing needs a cost budget of at least {epsilon}, got {gamma}"
-        )
+    _check_budget(epsilon, gamma, "time sharing")
     if epsilon == 1.0:
         return 0.0
     return (1.0 - gamma) / (1.0 - epsilon) * binary_entropy(epsilon)
@@ -84,12 +70,7 @@ def case2_ts_r1(epsilon: float, gamma: float) -> float:
 
 def case3_r1(epsilon: float, gamma: float) -> float:
     """Forward rate when both terminals reconstruct perfectly; needs gamma >= epsilon."""
-    _check_unit("epsilon", epsilon)
-    _check_unit("gamma", gamma)
-    if gamma < epsilon:
-        raise InfeasibleError(
-            f"perfect two-sided reconstruction needs a cost budget of at least {epsilon}, got {gamma}"
-        )
+    _check_budget(epsilon, gamma, "perfect two-sided reconstruction")
     return binary_entropy(epsilon) + 1.0 - gamma
 
 
@@ -146,14 +127,9 @@ def hb_case2_r1(epsilon: float, gamma: float, d3: float) -> float:
     a in [s-(gamma-eps), eps] nearest to s/2, where h2(a/s) peaks.  At s = 0
     the rate is H(eps); at s = gamma it is case2_r1.
     """
-    _check_unit("epsilon", epsilon)
-    _check_unit("gamma", gamma)
     if not (math.isfinite(d3) and d3 >= 0.0):
         raise ValueError(f"d3 level {d3!r} must be finite and nonnegative")
-    if gamma < epsilon:
-        raise InfeasibleError(
-            f"the third-node curve needs a cost budget of at least {epsilon}, got {gamma}"
-        )
+    _check_budget(epsilon, gamma, "the third-node curve")
     s = min(d3, gamma)
     if s == 0.0:
         return binary_entropy(epsilon)
@@ -194,10 +170,7 @@ def appendixB_policy(case: ExampleCase) -> Policy:
         v = Alphabet("v", ("v0",))
         b_table = np.ones((2, 3, 3, 1))
         return Policy(Kernel((z,), (a, u), f_table), Kernel((a, u, y), (v,), b_table))
-    if g < eps:
-        raise InfeasibleError(
-            f"case {case.tag} needs a cost budget of at least {eps}, got {g}"
-        )
+    _check_budget(eps, g, f"case {case.tag}")
     q = 0.0 if eps >= 1.0 else (g - eps) / (1.0 - eps)
     if case.tag == "case2":
         u = Alphabet("u", ("u0",))
@@ -213,13 +186,17 @@ def appendixB_policy(case: ExampleCase) -> Policy:
             f_table[zi, 1, zi] = q
             f_table[zi, 0, zi] = 1.0 - q
         f_table[2, 1, 2] = 1.0
-    v = Alphabet("v", y.symbols)
-    b_table = np.zeros((2, len(u), 3, 3))
-    for yi in range(3):
-        b_table[:, :, yi, yi] = 1.0
-    return Policy(Kernel((z,), (a, u), f_table), Kernel((a, u, y), (v,), b_table))
+    # the relay of Y, with V's letters named after Y's
+    b_table = _identity_backward(spec, len(u), len(y))
+    return Policy(Kernel((z,), (a, u), f_table), Kernel((a, u, y), (Alphabet("v", y.symbols),), b_table))
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} {value!r} outside [0, 1]")
+def _check_budget(epsilon: float, gamma: float, needs: str | None = None) -> None:
+    """Reject epsilon or gamma outside [0, 1] with ValueError and, when
+    ``needs`` names what a budget of at least epsilon buys, gamma < epsilon
+    with InfeasibleError."""
+    for name, value in (("epsilon", epsilon), ("gamma", gamma)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} {value!r} outside [0, 1]")
+    if needs is not None and gamma < epsilon:
+        raise InfeasibleError(f"{needs} needs a cost budget of at least {epsilon}, got {gamma}")

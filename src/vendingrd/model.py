@@ -214,8 +214,8 @@ def _key_to_indices(key: Any, alphas: tuple[Alphabet, ...], where: str) -> tuple
         raise SpecFormatError(f"{where}: {exc}") from None
 
 
-def _items(doc: Any, where: str, pairs: bool) -> Any:
-    if pairs:
+def _items(doc: Any, where: str, metric: bool) -> Any:
+    if metric:
         if isinstance(doc, list) and all(isinstance(c, list) and len(c) == 2 for c in doc):
             return doc
         raise SpecFormatError(f"{where}: cells must be [key, value] pairs")
@@ -237,20 +237,19 @@ def table_from_cells(
     alphas: tuple[Alphabet, ...],
     where: str,
     out: np.ndarray | None = None,
-    allow_inf: bool = False,
-    pairs: bool = False,
+    metric: bool = False,
 ) -> np.ndarray:
     """Fill a dense table (``out``, or a new zero one) from its cells object,
-    or from a list of ``[key, value]`` pairs when ``pairs`` is set.  Values
-    are numbers or number strings; +inf only where ``allow_inf``."""
+    or, for a ``metric``, from a list of ``[key, value]`` pairs.  Values are
+    numbers or number strings; +inf only in a metric."""
     table = np.zeros(tuple(len(al) for al in alphas)) if out is None else out
-    for key, raw in _items(cells, where, pairs):
+    for key, raw in _items(cells, where, metric):
         idx = _key_to_indices(key, alphas, where)
         try:
             value = math.nan if isinstance(raw, bool) else float(raw)
         except (TypeError, ValueError, OverflowError):
             value = math.nan
-        if not (-math.inf < value < math.inf or (allow_inf and value == math.inf)):
+        if not (-math.inf < value < math.inf or (metric and value == math.inf)):
             raise SpecFormatError(f"{where}[{key!r}]: bad number {raw!r}")
         table[idx] = value
     return table
@@ -347,8 +346,7 @@ def spec_from_document(doc: dict) -> ProblemSpec:
             require_field(metrics_doc, name, "metrics"),
             (x, y, z, alphas["xhat" + name[1]]),
             f"metrics.{name}",
-            allow_inf=True,
-            pairs=True,
+            metric=True,
         )
         for name in ["d1", "d2"] + (["d3"] if hb else [])
     }

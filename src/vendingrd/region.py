@@ -189,8 +189,8 @@ def default_cardinalities(spec: ProblemSpec) -> tuple[int, int]:
 
 def random_policy(spec: ProblemSpec, nu: int, nv: int, rng: np.random.Generator) -> Policy:
     """A fully random policy with Dirichlet(1) rows at the given index sizes."""
-    f_table = _random_forward(spec, nu, rng)
-    b_shape = _kernel_shapes(spec, nu, nv)[1]
+    f_shape, b_shape = _kernel_shapes(spec, nu, nv)
+    f_table = rng.dirichlet(np.ones(int(np.prod(f_shape[1:]))), size=f_shape[0]).reshape(f_shape)
     b_table = rng.dirichlet(np.ones(nv), size=int(np.prod(b_shape[:-1]))).reshape(b_shape)
     return _policy_from_arrays(spec, f_table, b_table)
 
@@ -206,12 +206,6 @@ def _kernel_alphabets(spec: ProblemSpec, nu: int, nv: int) -> tuple[tuple, tuple
 def _kernel_shapes(spec: ProblemSpec, nu: int, nv: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     fwd, back = _kernel_alphabets(spec, nu, nv)
     return (len(spec.z_alpha),) + tuple(map(len, fwd)), tuple(map(len, back))
-
-
-def _random_forward(spec, nu, rng, alpha=1.0):
-    """A forward kernel with Dirichlet(alpha) rows at index size nu."""
-    shape = _kernel_shapes(spec, nu, 1)[0]
-    return rng.dirichlet(np.full(int(np.prod(shape[1:])), alpha), size=shape[0]).reshape(shape)
 
 
 def _identity_backward(spec, nu, nv):
@@ -362,7 +356,6 @@ class _EvalContext:
     """
 
     def __init__(self, spec: ProblemSpec):
-        self.spec = spec
         self.hb = spec.mode == "heegard-berger"
         S = spec.source.table
         self.pz = S.sum(axis=0)
@@ -537,6 +530,14 @@ _DRAW_ALPHA = 0.1
 _TINY = 1e-300
 
 
+def _draw(stream: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """A forward kernel of the given shape from ``stream``: Gamma(``_DRAW_ALPHA``)
+    variates with each z row normalized, a Dirichlet(``_DRAW_ALPHA``) row."""
+    rows = np.array([stream.gammavariate(_DRAW_ALPHA, 1.0) for _ in range(math.prod(shape))])
+    rows = rows.reshape(shape[0], -1)
+    return (rows / rows.sum(axis=1, keepdims=True)).reshape(shape)
+
+
 class _Solver:
     """Constrained alternating minimization of r1 over a stack of forward
     kernels F = p(a, u, w | z); the backward kernel relays Y.
@@ -674,47 +675,6 @@ def _decoded(weights, fin, inf, axes):
     return np.take_along_axis(fin, pick, axis=-1).sum(axis=(-2, -1)), bad
 
 
-def _run_group(ctx, targets, config, indices, seed_arrays) -> list:
-    """Starts ``indices`` as one stack; each one's best outcome, in order.
-
-    Every start draws from its own ``random.Random`` stream, seeded by the
-    string of (rng_seed, index), which no process or platform changes: its
-    first forward kernel, unless a seed gives it, then one per hop.  A draw
-    takes Gamma(``_DRAW_ALPHA``) variates and normalizes each z row, a
-    Dirichlet(``_DRAW_ALPHA``) row.  Every start's 1 + ``hops`` kernels are
-    solved in one stack, and its outcome is the ``_best`` of them, then of
-    its seed as given, so each outcome is the one the start reaches alone.
-    """
-    nu, nv = _search_sizes(ctx.spec, config)
-    shape = _kernel_shapes(ctx.spec, nu, nv)[0]
-    per_start = 1 + config.hops
-
-    def draws(index, seeded):
-        stream = random.Random(f"{config.rng_seed} {index}")
-        kernels = [] if seeded is None else [seeded[0]]
-        while len(kernels) < per_start:
-            rows = np.array([stream.gammavariate(_DRAW_ALPHA, 1.0) for _ in range(math.prod(shape))])
-            rows = rows.reshape(shape[0], -1)
-            kernels.append((rows / rows.sum(axis=1, keepdims=True)).reshape(shape))
-        return kernels
-
-    F = np.stack([f for index, seeded in zip(indices, seed_arrays) for f in draws(index, seeded)])
-    B = _identity_backward(ctx.spec, nu, nv)
-    judged = _judge(ctx, targets, _Solver(ctx, targets).solve(F, config.max_iters), B)
-    # a start never ends worse than its seed as given, judged with its own backward kernel
-    as_given = [[] if s is None else _judge(ctx, targets, s[0][None], s[1]) for s in seed_arrays]
-    return [_best(judged[k * per_start : (k + 1) * per_start] + as_given[k]) for k in range(len(as_given))]
-
-
-def _search_sizes(spec, config) -> tuple[int, int]:
-    """(|U|, |V|) of the solver: the config's override, else the defaults.
-    |V| below |Y| raises ``ValueError``: the solver relays Y."""
-    nu, nv = config.cardinality_override or default_cardinalities(spec)
-    if nv < len(spec.y_alpha):
-        raise ValueError(f"the solver relays Y, so |V| must be at least |Y| = {len(spec.y_alpha)}, got {nv}")
-    return nu, nv
-
-
 def _judge(ctx, targets, F, B) -> list:
     """Each forward kernel of the stack F, with the shared backward kernel B,
     judged against the targets."""
@@ -762,14 +722,16 @@ def minimize_r1(
 ) -> MinimizeResult:
     """Search for the cheapest forward rate meeting the targets.
 
-    Each start solves 1 + ``config.hops`` forward kernels, a supplied seed
-    policy or a Dirichlet-random draw and then ``hops`` fresh draws, for
-    ``config.max_iters`` iterations of the constrained alternating
-    minimization of ``_Solver``.  Every kernel is solved in the calling
-    process in one stack (``_run_group``), and a start's outcome does not
-    depend on the stack.  Every start is deterministic given (rng_seed,
-    start index), and ``_best`` picks the winner: ties go to the earlier
-    start, then the earlier draw.  When no start lands within the
+    Start i draws from its own ``random.Random`` stream, seeded by the
+    string of (``config.rng_seed``, i), which no process or platform
+    changes: its first forward kernel, unless the i-th seed policy gives
+    it, then ``config.hops`` more, each a ``_draw``.  Every kernel of every
+    start is solved in the calling process, in one ``_Solver`` stack, for
+    ``config.max_iters`` iterations; a kernel's result does not depend on
+    the stack.  ``_best`` picks each start's outcome from its solved
+    kernels and then its seed as given, so no start ends worse than its
+    seed, and then the winner from the outcomes: ties go to the earlier
+    start, then the earlier kernel.  When no start lands within the
     feasibility tolerance the result carries ``feasible=False`` and the
     smallest constraint residual seen.  A d3 target on a spec without a
     third node raises ``ValueError``.
@@ -781,11 +743,23 @@ def minimize_r1(
         raise ValueError("minimize_r1 needs a cost budget in targets.gamma")
     if targets.d3 is not None and spec.mode != "heegard-berger":
         raise ValueError(f"a d3 target needs a third node, but the spec mode is {spec.mode!r}")
+    nu, nv = config.cardinality_override or default_cardinalities(spec)
+    if nv < len(spec.y_alpha):
+        raise ValueError(f"the solver relays Y, so |V| must be at least |Y| = {len(spec.y_alpha)}, got {nv}")
     ctx = _EvalContext(spec)
-    nu, nv = _search_sizes(spec, config)
     seed_arrays = [_embed_seed(spec, s, nu, nv) for s in seeds[: config.restarts]]
     seed_arrays += [None] * (config.restarts - len(seed_arrays))
-    best = _best(_run_group(ctx, targets, config, range(config.restarts), seed_arrays))
+    shape, per_start = _kernel_shapes(spec, nu, nv)[0], 1 + config.hops
+    F, as_given = [], []
+    for i, seeded in enumerate(seed_arrays):
+        stream = random.Random(f"{config.rng_seed} {i}")
+        first = [] if seeded is None else [seeded[0]]
+        F += first + [_draw(stream, shape) for _ in range(per_start - len(first))]
+        # a seed as given is judged with its own backward kernel
+        as_given.append([] if seeded is None else _judge(ctx, targets, seeded[0][None], seeded[1]))
+    solved = _Solver(ctx, targets).solve(np.stack(F), config.max_iters)
+    judged = _judge(ctx, targets, solved, _identity_backward(spec, nu, nv))
+    best = _best([_best(judged[i * per_start : (i + 1) * per_start] + g) for i, g in enumerate(as_given)])
     policy = _policy_from_arrays(spec, best["F"], best["B"])
     return MinimizeResult(
         point=best["point"],

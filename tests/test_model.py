@@ -207,6 +207,9 @@ SPEC_REJECTS = {
     "alphabet_not_strings": ("erasure", ("alphabets", "x"), [0, 1], "alphabets.x"),
     "duplicate_symbols": ("erasure", ("alphabets", "y"), ["0", "0", "phi"], "repeated"),
     "wrong_source_vars": ("erasure", ("source", "vars"), ["z", "x"], "source.vars"),
+    # +inf is a metric cell's value only: the cell parser refuses it elsewhere
+    "inf_cost": ("erasure", ("cost", "1"), "inf", "cost['1']: bad number"),
+    "inf_vending_cell": ("erasure", ("vending", "0,0,0", "phi"), "inf", "vending['0,0,0']['phi']: bad number"),
 }
 
 

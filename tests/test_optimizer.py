@@ -21,12 +21,12 @@ from vendingrd.region import (
     OptimizerConfig,
     Targets,
     _better,
+    _draw,
     _embed_seed,
     _EvalContext,
     _identity_backward,
     _judge,
-    _random_forward,
-    _run_group,
+    _kernel_shapes,
     _Solver,
     default_cardinalities,
     evaluate_point,
@@ -139,58 +139,64 @@ def test_benchmark_search_config_is_pinned(node3, targets, r1):
 
 
 @pytest.mark.parametrize("search", ["indirect", "third_node", "seeded"])
-def test_group_returns_each_restart_as_run_alone(search):
-    """Starts solved as one stack return, bit for bit, the kernel and r1
-    that each returns solved alone."""
+def test_stack_solves_and_judges_each_kernel_as_alone(search):
+    """Kernels solved as one stack and judged together return, bit for bit,
+    the kernel and point that each returns solved and judged alone."""
     spec = binary_erasure_spec(EPS)
-    targets, sizes, seeds = Targets(d1=0.0, d2=0.6, gamma=0.6), (3, 3), [None] * 4
+    targets, sizes = Targets(d1=0.0, d2=0.6, gamma=0.6), (3, 3)
     if search == "third_node":
         spec = with_node3_erasure_metric(spec)
         targets = Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6)
-    elif search == "seeded":
+    shape = _kernel_shapes(spec, *sizes)[0]
+    kernels = [_draw(random.Random(f"3 {i}"), shape) for i in range(12)]
+    if search == "seeded":
         targets = Targets(d1=0.0, d2=0.4, gamma=0.6)
-        seeds[1] = _embed_seed(spec, appendixB_policy(ExampleCase("case2", EPS, 0.6)), *sizes)
-    config = OptimizerConfig(restarts=4, max_iters=6, hops=2, cardinality_override=sizes, rng_seed=3)
-    ctx = _EvalContext(spec)
-    group = _run_group(ctx, targets, config, [0, 1, 2, 3], seeds)
-    for i, got in enumerate(group):
-        (want,) = _run_group(ctx, targets, config, [i], [seeds[i]])
-        assert got["point"].r1 == want["point"].r1, i
-        assert np.array_equal(got["F"], want["F"]), i
-        assert np.array_equal(got["B"], want["B"]), i
+        kernels[1] = _embed_seed(spec, appendixB_policy(ExampleCase("case2", EPS, 0.6)), *sizes)[0]
+    ctx, B = _EvalContext(spec), _identity_backward(spec, *sizes)
+    solver = _Solver(ctx, targets)
+    stack = _judge(ctx, targets, solver.solve(np.stack(kernels), 6), B)
+    for i, f in enumerate(kernels):
+        (alone,) = _judge(ctx, targets, solver.solve(f[None], 6), B)
+        assert stack[i]["point"] == alone["point"], i
+        assert np.array_equal(stack[i]["F"], alone["F"]), i
 
 
 def test_start_returns_the_best_of_its_draws_solved_alone():
-    """An unseeded and a seeded start each return the ``_better``-best of
+    """A seeded and an unseeded start each take the ``_better``-best of
     their 1 + hops kernels, the seed or a draw from the start's stream and
     then one draw per hop, each solved alone and judged, and of the seed as
-    given; here a hop's draw wins both."""
+    given; the search returns the better start's.  Here a hop's draw wins,
+    so the oracle does not pass on a start's first kernel alone."""
     spec = binary_erasure_spec(EPS)
     targets, sizes = Targets(d1=0.0, d2=0.4, gamma=0.6), (3, 3)
     config = OptimizerConfig(restarts=2, max_iters=6, hops=3, cardinality_override=sizes, rng_seed=2)
-    seeds = [None, _embed_seed(spec, appendixB_policy(ExampleCase("case3", EPS, 0.6)), *sizes)]
+    seed = appendixB_policy(ExampleCase("case3", EPS, 0.6))
+    got = minimize_r1(spec, targets, config, seeds=[seed])
     ctx = _EvalContext(spec)
     solver, B = _Solver(ctx, targets), _identity_backward(spec, *sizes)
     shape = (len(spec.z_alpha), len(spec.a_alpha), sizes[0])
-    group = _run_group(ctx, targets, config, [0, 1], seeds)
-    for index, seed in enumerate(seeds):
+    seeded = _embed_seed(spec, seed, *sizes)
+    want, won_at = None, None
+    for index in range(config.restarts):
         stream = random.Random(f"{config.rng_seed} {index}")
-        kernels = [] if seed is None else [seed[0]]
+        kernels = [seeded[0]] if index == 0 else []
         while len(kernels) < 1 + config.hops:
             rows = np.array([stream.gammavariate(_DRAW_ALPHA, 1.0) for _ in range(math.prod(shape))])
             rows = rows.reshape(shape[0], -1)
             kernels.append((rows / rows.sum(axis=1, keepdims=True)).reshape(shape))
         candidates = [_judge(ctx, targets, solver.solve(f[None], config.max_iters), B)[0] for f in kernels]
-        if seed is not None:
-            candidates += _judge(ctx, targets, seed[0][None], seed[1])
-        want = candidates[0]
-        for cand in candidates[1:]:
-            if _better(cand, want):
-                want = cand
-        assert want is not candidates[0], index
-        got = group[index]
-        assert got["point"] == want["point"], index
-        assert np.array_equal(got["F"], want["F"]) and np.array_equal(got["B"], want["B"]), index
+        if index == 0:
+            candidates += _judge(ctx, targets, seeded[0][None], seeded[1])
+        outcome, at = candidates[0], 0
+        for k, cand in enumerate(candidates[1:], 1):
+            if _better(cand, outcome):
+                outcome, at = cand, k
+        if want is None or _better(outcome, want):
+            want, won_at = outcome, (index, at)
+    assert 1 <= won_at[1] <= config.hops, won_at
+    assert got.point == want["point"]
+    assert np.array_equal(got.policy.forward.table, want["F"])
+    assert np.array_equal(got.policy.backward.table, want["B"])
 
 
 def test_search_makes_one_solve(monkeypatch):
@@ -270,7 +276,9 @@ def _f_step_inputs(spec, targets, rng):
         return _Solver._f_step(solver, theta, costs, nu)
 
     solver._f_step = record
-    solver.solve(np.stack([_random_forward(spec, 3, rng, _DRAW_ALPHA) for _ in range(4)]), 2)
+    shape = _kernel_shapes(spec, 3, 1)[0]
+    rows = [rng.dirichlet(np.full(math.prod(shape[1:]), _DRAW_ALPHA), size=shape[0]) for _ in range(4)]
+    solver.solve(np.stack(rows).reshape((4,) + shape), 2)
     del solver._f_step
     return solver, seen
 
