@@ -518,7 +518,8 @@ def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
 # distortion, leaves about exp(-1e4 e) of mass on a cell that costs e more;
 # a cap of 400 left some tight nonzero targets unmet.
 _NU_CAP = 1e4
-# Newton steps per F step at most, and the step sizes each one tries
+# Newton steps per F step at most, and the step sizes each one may try: the
+# full step first, the shorter ones only where it does not raise the dual
 _NEWTON_STEPS = 6
 _BACKTRACK = 0.5 ** np.arange(12)
 # r, q and F sweeps per decoder update
@@ -551,11 +552,12 @@ class _Solver:
     c_j) with θ = ln r + Σ_y p(y | z, a) ln q, c_j the per-cell costs of the
     targets, and no mass on the cells whose chosen reconstruction is
     forbidden (+inf).  The multipliers ν maximize the concave dual by at
-    most ``_NEWTON_STEPS`` projected Newton steps, each taking the best of
-    ``_BACKTRACK``'s step sizes, with every ν capped at ``_NU_CAP``; a start
-    whose multipliers did not move is final.  Every step is decided per
-    start and every sum runs along a start's own axes, so a start's
-    iterates do not depend on the rest of its stack.
+    most ``_NEWTON_STEPS`` projected Newton steps, with every ν capped at
+    ``_NU_CAP``.  A step is taken in full where that raises the dual, and
+    elsewhere at the best of ``_BACKTRACK``'s shorter sizes; a start whose
+    multipliers did not move is final.  Every step is decided per start
+    and every sum runs along a start's own axes, so a start's iterates do
+    not depend on the rest of its stack.
     """
 
     def __init__(self, ctx: _EvalContext, targets: Targets):
@@ -625,7 +627,9 @@ class _Solver:
         """The F step from multipliers nu: the kernels and their multipliers.
 
         A start whose step left ν where it was is final, since its next step
-        would be the same, so only the starts that moved step again."""
+        would be the same, so only the starts that moved step again.  Most
+        full steps raise the dual, so the shorter sizes are tried only for
+        the starts where the full step did not."""
         n, J = nu.shape
         eye = np.eye(J)
         g, mass, total = self._dual(theta, costs, nu)
@@ -644,16 +648,22 @@ class _Solver:
             step = np.linalg.solve(system, np.where(free, grad, 0.0)[..., None])[..., 0]
             # where the dual is flat the step is huge: shorten it to the cap
             step *= np.minimum(1.0, _NU_CAP / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
-            trials = np.clip(v[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
-            g_trials, mass, total = self._dual(th[:, None], co[:, None], trials)
-            pick = g_trials.argmax(axis=1)
-            moved = np.flatnonzero(g_trials.max(axis=1) > g[at])
-            pick, live = pick[moved], live[moved]
+            new = np.clip(v + step, 0.0, _NU_CAP)
+            g_new, mass, total = self._dual(th, co, new)
+            short = np.flatnonzero(~(g_new > g[at]))
+            if len(short):
+                trials = np.clip(v[short, None] + _BACKTRACK[1:, None] * step[short, None], 0.0, _NU_CAP)
+                g_trials, m_trials, t_trials = self._dual(th[short, None], co[short, None], trials)
+                rows, pick = np.arange(len(short)), g_trials.argmax(axis=1)
+                new[short], g_new[short] = trials[rows, pick], g_trials[rows, pick]
+                mass[short], total[short] = m_trials[rows, pick], t_trials[rows, pick]
+            moved = np.flatnonzero(g_new > g[at])
+            live = live[moved]
             if not len(live):
                 break
             # the chosen trial's dual is the dual at the new ν
-            nu[live], g[live] = trials[moved, pick], g_trials[moved, pick]
-            P[live] = mass[moved, pick] / total[moved, pick]
+            nu[live], g[live] = new[moved], g_new[moved]
+            P[live] = mass[moved] / total[moved]
         return P, nu
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from test_acceptance import _criterion5_targets
 from test_search_battery import battery
-from vendingrd.closed_form import ExampleCase, appendixB_policy, case2_r1, example_rate
+from vendingrd import region
+from vendingrd.closed_form import ExampleCase, appendixB_policy, case2_r1, example_rate, hb_case2_r1
 from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
 from vendingrd.region import (
     _BACKTRACK,
@@ -114,9 +115,9 @@ def test_search_output_is_pinned(monkeypatch, threads):
 @pytest.mark.parametrize(
     "node3,targets,r1",
     [
-        # 4.3e-9 below case1_r1(0.3), inside the 1e-7 feasibility tolerance,
+        # 7.6e-14 below case1_r1(0.3), inside the 1e-7 feasibility tolerance,
         # and 2.3e-4 above hb_case2_r1(0.6, 0.6)
-        (False, Targets(d1=0.5, d2=0.0, gamma=0.3), 1.2219280905459284),
+        (False, Targets(d1=0.5, d2=0.0, gamma=0.3), 1.2219280948872862),
         (True, Targets(d1=0.0, d2=1.0, d3=0.6, gamma=0.6), 0.17117989393387334),
         # within 1e-11 of case2_r1(0.3)
         (False, Targets(d1=0.0, d2=0.6, gamma=0.3), 0.446439344669433),
@@ -227,28 +228,58 @@ def _reference_dual(self, theta, costs, nu):
     return g, mass / total
 
 
+def _newton_step(self, theta, costs, nu):
+    """The dual at nu, and the projected Newton step from nu, shortened to
+    the cap."""
+    g, P = _reference_dual(self, theta, costs, nu)
+    mean = (P[:, None] * costs).sum(axis=-1)
+    grad = (mean * self.pz).sum(axis=-1) - self.limits
+    second = (P[:, None, None] * costs[:, :, None] * costs[:, None]).sum(axis=-1)
+    hess = ((second - mean[:, :, None] * mean[:, None]) * self.pz).sum(axis=-1)
+    free = ~(((nu <= 0.0) & (grad < 0.0)) | ((nu >= _NU_CAP) & (grad > 0.0)))
+    system = np.where(free[:, :, None] & free[:, None], hess, 0.0)
+    system += np.eye(nu.shape[1]) * np.where(free, 1e-12, 1.0)[:, :, None]
+    step = np.linalg.solve(system, np.where(free, grad, 0.0)[..., None])[..., 0]
+    # where the dual is flat the step is huge: shorten it to the cap
+    step *= np.minimum(1.0, _NU_CAP / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
+    return g, step
+
+
+def _staged_step(self, theta, costs, nu):
+    """One Newton step of every start by the staged rule: the full step
+    where it raises the dual, else the best of ``_BACKTRACK[1:]`` where that
+    raises it, else no move.  Returns the new multipliers and where the full
+    step raised the dual."""
+    g, step = _newton_step(self, theta, costs, nu)
+    rows = np.arange(len(nu))
+    full = np.clip(nu + step, 0.0, _NU_CAP)
+    up = _reference_dual(self, theta, costs, full)[0] > g
+    trials = np.clip(nu[:, None] + _BACKTRACK[1:, None] * step[:, None], 0.0, _NU_CAP)
+    g_trials = _reference_dual(self, theta[:, None], costs[:, None], trials)[0]
+    pick = g_trials.argmax(axis=1)
+    shorter = np.where((g_trials[rows, pick] > g)[:, None], trials[rows, pick], nu)
+    return np.where(up[:, None], full, shorter), up
+
+
+def _best_of_12_step(self, theta, costs, nu):
+    """One Newton step of every start by the former rule: the best of all
+    of ``_BACKTRACK``'s sizes where it raises the dual, else no move.
+    Returns the new multipliers and where that best is the full step."""
+    g, step = _newton_step(self, theta, costs, nu)
+    rows = np.arange(len(nu))
+    trials = np.clip(nu[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
+    g_trials = _reference_dual(self, theta[:, None], costs[:, None], trials)[0]
+    pick = g_trials.argmax(axis=1)
+    return np.where((g_trials[rows, pick] > g)[:, None], trials[rows, pick], nu), pick == 0
+
+
 def _reference_f_step(self, theta, costs, nu, steps=_NEWTON_STEPS):
     """``_Solver._f_step`` with no early stop: every start takes every
-    Newton step, and the dual is taken afresh at each step's multipliers
-    and once more at the last.  ``steps`` sets the number of steps."""
-    n, J = nu.shape
+    staged Newton step, and the dual is taken afresh at each step's
+    multipliers and once more at the last.  ``steps`` sets the number of
+    steps."""
     for _ in range(steps):
-        g, P = _reference_dual(self, theta, costs, nu)
-        mean = (P[:, None] * costs).sum(axis=-1)
-        grad = (mean * self.pz).sum(axis=-1) - self.limits
-        second = (P[:, None, None] * costs[:, :, None] * costs[:, None]).sum(axis=-1)
-        hess = ((second - mean[:, :, None] * mean[:, None]) * self.pz).sum(axis=-1)
-        free = ~(((nu <= 0.0) & (grad < 0.0)) | ((nu >= _NU_CAP) & (grad > 0.0)))
-        system = np.where(free[:, :, None] & free[:, None], hess, 0.0)
-        system += np.eye(J) * np.where(free, 1e-12, 1.0)[:, :, None]
-        step = np.linalg.solve(system, np.where(free, grad, 0.0)[..., None])[..., 0]
-        # where the dual is flat the step is huge: shorten it to the cap
-        step *= np.minimum(1.0, _NU_CAP / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
-        trials = np.clip(nu[:, None] + _BACKTRACK[:, None] * step[:, None], 0.0, _NU_CAP)
-        g_trials = _reference_dual(self, theta[:, None], costs[:, None], trials)[0]
-        pick = g_trials.argmax(axis=1)
-        up = g_trials[np.arange(n), pick] > g
-        nu = np.where(up[:, None], trials[np.arange(n), pick], nu)
+        nu = _staged_step(self, theta, costs, nu)[0]
     return _reference_dual(self, theta, costs, nu)[1], nu
 
 
@@ -283,18 +314,23 @@ def _f_step_inputs(spec, targets, rng):
     return solver, seen
 
 
+def _f_step_problems():
+    """Random specs in all three modes, and the erasure spec at the
+    criterion-5 targets."""
+    spec = binary_erasure_spec(EPS)
+    problems = [(s, t) for _, s, t in battery()]
+    return problems + [(spec, _criterion5_targets(tag, g)) for tag in ("case1", "case2", "case3") for g in (0.3, 0.6, 0.9)]
+
+
 def test_f_step_matches_the_full_newton_loop():
     """The F step returns, bit for bit, the kernels and multipliers of six
-    full Newton steps and a final dual, on random specs in all three modes
+    staged Newton steps and a final dual, on random specs in all three modes
     and on the erasure spec at the criterion-5 targets; the stacks include
     starts that retire at different steps, one at the first, and stacks
     where every start retires early."""
     rng = np.random.default_rng(2026)
-    spec = binary_erasure_spec(EPS)
-    problems = [(s, t) for _, s, t in battery()]
-    problems += [(spec, _criterion5_targets(tag, g)) for tag in ("case1", "case2", "case3") for g in (0.3, 0.6, 0.9)]
     staggered = early = 0
-    for spec, targets in problems:
+    for spec, targets in _f_step_problems():
         solver, seen = _f_step_inputs(spec, targets, rng)
         for theta, costs, nu in seen:
             P, nu_out = solver._f_step(theta, costs, nu)
@@ -306,16 +342,98 @@ def test_f_step_matches_the_full_newton_loop():
     assert staggered and early
 
 
+def test_f_step_keeps_the_best_of_12_step_where_it_is_the_full_step(monkeypatch):
+    """At every Newton step of the F step, run one step at a time, where
+    the former rule (the best of all of ``_BACKTRACK``'s sizes) picks the
+    full step, the F step returns its multipliers and kernels bit for bit;
+    everywhere, it ends at a dual no lower than at the step's start.  The
+    two rules part where the full step raised the dual and a shorter step
+    raised it more, and both kinds of step occur here."""
+    rng = np.random.default_rng(2026)
+    inputs = [_f_step_inputs(spec, targets, rng) for spec, targets in _f_step_problems()]
+    monkeypatch.setattr(region, "_NEWTON_STEPS", 1)
+    agreed = parted = 0
+    for solver, seen in inputs:
+        for theta, costs, nu in seen:
+            for _ in range(_NEWTON_STEPS):
+                P, after = solver._f_step(theta, costs, nu)
+                want, at_full = _best_of_12_step(solver, theta, costs, nu)
+                assert np.array_equal(after[at_full], want[at_full])
+                assert np.array_equal(P[at_full], _reference_dual(solver, theta, costs, want)[1][at_full])
+                g_after, g_before = (_reference_dual(solver, theta, costs, v)[0] for v in (after, nu))
+                assert (g_after >= g_before).all()
+                agreed += at_full.sum()
+                parted += (after != want).any(axis=1).sum()
+                nu = after
+    assert agreed and parted
+
+
+def test_f_step_tries_shorter_sizes_only_where_the_full_step_fails(monkeypatch):
+    """Each Newton step of the F step takes the dual at the full step of
+    its live starts, shape (live, J), and then at the 11 shorter sizes of
+    only the k starts whose full step did not raise it, shape (k, 11, J),
+    with no second call when k is 0; the staged loop gives live and k."""
+    rng = np.random.default_rng(7)
+    spec = binary_erasure_spec(EPS)
+    inputs = []
+    for tag in ("case1", "case2", "case3"):
+        for g in (0.3, 0.6, 0.9):
+            solver, seen = _f_step_inputs(spec, _criterion5_targets(tag, g), rng)
+            inputs += [(solver, *s) for s in seen]
+    shapes = []
+    dual = _Solver._dual
+
+    def spy(self, theta, costs, nu):
+        shapes.append(nu.shape)
+        return dual(self, theta, costs, nu)
+
+    monkeypatch.setattr(_Solver, "_dual", spy)
+    skipped = partial = 0
+    for solver, theta, costs, nu in inputs:
+        n, J = nu.shape
+        want, live, v = [(n, J)], np.arange(n), nu
+        for _ in range(_NEWTON_STEPS):
+            after, up = _staged_step(solver, theta, costs, v)
+            k = int((~up[live]).sum())
+            want.append((len(live), J))
+            if k:
+                want.append((k, len(_BACKTRACK) - 1, J))
+            skipped += k == 0
+            partial += 0 < k < len(live)
+            live, v = live[(after[live] != v[live]).any(axis=1)], after
+            if not len(live):
+                break
+        shapes.clear()
+        solver._f_step(theta, costs, nu)
+        assert shapes == want
+    assert skipped and partial
+
+
+def test_benchmark_search_config_stays_near_the_third_node_curve():
+    """The benchmark's search config (8 restarts, 12 iterations, 4 hops,
+    sizes (3, 3)) ends within 1e-3 of ``hb_case2_r1`` at seeds 0-4 at the
+    two third-node points, 50 times tighter than the benchmark's 0.05, so
+    a drift of the solver shows here before it fails an op."""
+    spec = with_node3_erasure_metric(binary_erasure_spec(EPS))
+    for gamma, d3 in ((0.6, 0.6), (0.9, 0.4)):
+        targets = Targets(d1=0.0, d2=1.0, d3=d3, gamma=gamma)
+        for seed in range(5):
+            config = OptimizerConfig(restarts=8, max_iters=12, hops=4, cardinality_override=(3, 3), rng_seed=seed)
+            result = minimize_r1(spec, targets, config)
+            assert result.feasible, (gamma, d3, seed)
+            assert result.point.r1 - hb_case2_r1(EPS, gamma, d3) <= 1e-3, (gamma, d3, seed)
+
+
 def test_search_digest_is_pinned(monkeypatch, capsys):
     """``tools/search_digest.py`` prints the line recorded for seed 1 when
-    each start's hops became fresh draws solved in the one stack: the whole
+    the F step's Newton steps began trying the full step first: the whole
     optimize pass of the benchmark at that seed keeps its output bits."""
     # restores sys.path afterwards, with the entries the tool adds
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
     import search_digest
 
     search_digest.main(["1"])
-    assert capsys.readouterr().out == "seed 1 misses 0 hb_gap 0.0001 digest a67f776b21db2d06\n"
+    assert capsys.readouterr().out == "seed 1 misses 0 hb_gap 7.89e-05 digest aa8c13507c13dc73\n"
 
 
 def test_default_cardinality_search():

@@ -7,7 +7,8 @@ prints the seed, the number of ops whose check reports a problem, the
 third-node probe gap, and a SHA-256 over every search's r1, r2 and policy
 tables.  The probe gap is how far ``minimize_r1`` at
 ``workloads.search_config(seed)`` ends above ``hb_case2_r1`` at γ 0.9 and
-d3 0.4, the point of the benchmark's ``region.hb_gap.g0.9_d0.4``.  Two trees
+d3 0.4, the point of the benchmark's ``region.hb_gap.g0.9_d0.4``, printed
+to three significant figures, since it sits near 1e-4.  Two trees
 whose searches return the same bits print the same lines.  A search runs
 in this process and its starts draw from stdlib streams keyed by
 (rng_seed, start index), so ``VENDINGRD_THREADS`` does not change a line.
@@ -46,7 +47,7 @@ def main(argv: list[str]) -> None:
                 digest.update(result.policy.forward.table.tobytes())
                 digest.update(result.policy.backward.table.tobytes())
             print(
-                f"seed {seed} misses {misses} hb_gap {probe_gap(seed):.4f} digest {digest.hexdigest()[:16]}",
+                f"seed {seed} misses {misses} hb_gap {probe_gap(seed):.2e} digest {digest.hexdigest()[:16]}",
                 flush=True,
             )
 
