@@ -372,13 +372,13 @@ class _EvalContext:
             fin = np.isfinite(d3)
             # collapse x and y straight away: d3 is averaged, not decoded;
             # the finite part and the forbidden mass share one table
-            self.c3 = np.einsum("axzy,kxyzw->kazw", SV, np.stack([np.where(fin, d3, 0.0), ~fin]))
+            self.c3 = np.einsum("axzy,kxyzw->kzaw", SV, np.stack([np.where(fin, d3, 0.0), ~fin]))
 
     @staticmethod
     def _metric_terms(SV, metric):
         fin = np.isfinite(metric)
-        c_fin = np.einsum("axzy,xyzk->azyk", SV, np.where(fin, metric, 0.0))
-        c_inf = np.einsum("axzy,xyzk->azyk", SV, (~fin).astype(float))
+        c_fin = np.einsum("axzy,xyzk->zayk", SV, np.where(fin, metric, 0.0))
+        c_inf = np.einsum("axzy,xyzk->zayk", SV, (~fin).astype(float))
         if not c_inf.any():
             c_inf = None
         return c_fin, c_inf
@@ -406,8 +406,8 @@ class _EvalContext:
         )
         r1[r1 < 0.0] = 0.0
         fb = np.einsum("nzauw,auywv->nzayv", F, B)
-        d1 = self._decode(fb, self.c1_fin, self.c1_inf, "nzayv,azyk->nvzk")
-        d2 = self._decode(F.sum(axis=4), self.c2_fin, self.c2_inf, "nzau,azyk->nuyk")
+        d1 = self._decode(fb, self.c1_fin, self.c1_inf, "nzayv,zayk->nvzk")
+        d2 = self._decode(F.sum(axis=4), self.c2_fin, self.c2_inf, "nzau,zayk->nuyk")
         pzauwyv = np.einsum("nzauwy,auywv->nzauwyv", pzauwy, B)
         r2 = h_zauwy + _entropy_of(pzauwyv.sum(axis=5)) - _entropy_of(pzauwyv) - _entropy_of(pzauw)
         r2[r2 < 0.0] = 0.0
@@ -417,7 +417,7 @@ class _EvalContext:
             # The sums over w, folded left in (a, z) order, add the terms
             # in the order of one policy's einsum "zaw,azw->", which runs a
             # single sum over (z, w) when |A| or |Z| is 1.
-            sub = "nzaw,kazw->kn" if 1 in Fw.shape[1:3] else "nzaw,kazw->knaz"
+            sub = "nzaw,kzaw->kn" if 1 in Fw.shape[1:3] else "nzaw,kzaw->knaz"
             fin, forbidden = np.cumsum(np.einsum(sub, Fw, self.c3).reshape(2, len(F), -1), axis=2)[..., -1]
             d3 = np.where(forbidden > 0.0, np.inf, fin).tolist()
         columns = (r1, r2, d1, d2, gamma)
@@ -567,12 +567,12 @@ class _Solver:
         self.per_z = np.where(ctx.pz > 0.0, 1.0 / np.where(ctx.pz > 0.0, ctx.pz, 1.0), 0.0)[:, None, None, None]
         self.pyza = ctx.pzay * self.per_z[..., None]
         # each node's (z, a, y, k) tables, spread onto the axes of its cells
-        self.node1 = [None if c is None else c.transpose(1, 0, 2, 3)[None] for c in (ctx.c1_fin, ctx.c1_inf)]
-        self.node2 = [None if c is None else c.transpose(1, 0, 2, 3)[None, :, :, None] for c in (ctx.c2_fin, ctx.c2_inf)]
+        self.node1 = [None if c is None else c[None] for c in (ctx.c1_fin, ctx.c1_inf)]
+        self.node2 = [None if c is None else c[None, :, :, None] for c in (ctx.c2_fin, ctx.c2_inf)]
         # the cost's and d3's tables on the (z, a, u, w) axes
         self.cost, self.d3, self.bad3 = ctx.cost[:, None, None], [], False
         if ctx.hb:
-            c3 = ctx.c3.transpose(0, 2, 1, 3)[:, :, :, None]
+            c3 = ctx.c3[:, :, :, None]
             self.bad3 = c3[1] > 0.0
             if targets.d3 is not None:
                 self.d3 = [c3[0] * self.per_z]
