@@ -47,8 +47,6 @@ DEFAULT_GAMMA_STEP = 0.01
 
 def _fmt(value) -> str:
     """One CSV cell: 12 significant digits, empty for non-finite values."""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     if value is None or not math.isfinite(float(value)):
@@ -64,10 +62,6 @@ def _default_grid() -> list[float]:
 # --- closed-form tables ----------------------------------------------------
 
 def _closed_form_curves(args) -> list[tuple[str, float | None]]:
-    if args.preset == "fig4":
-        if args.d3:
-            raise ValueError("--d3 only applies to the hb_case2 curve")
-        return [(tag, None) for tag in FIG4_CASES]
     if args.preset == "fig6":
         levels = args.d3 or list(FIG6_D3_LEVELS)
         return [("hb_case2", float(d3)) for d3 in levels]
@@ -77,7 +71,8 @@ def _closed_form_curves(args) -> list[tuple[str, float | None]]:
         return [("hb_case2", float(d3)) for d3 in args.d3]
     if args.d3:
         raise ValueError("--d3 only applies to the hb_case2 curve")
-    return [(args.case, None)]
+    tags = FIG4_CASES if args.preset == "fig4" else (args.case,)
+    return [(tag, None) for tag in tags]
 
 
 def cmd_closed_form(args) -> tuple[list[str], int, list[Path]]:

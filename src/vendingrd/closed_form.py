@@ -160,35 +160,32 @@ def appendixB_policy(case: ExampleCase) -> Policy:
     eps, g = case.epsilon, case.gamma
     z, a, y = spec.z_alpha, spec.a_alpha, spec.y_alpha
     if case.tag == "case1":
+        # measure a share q of the unerased letters, and no erasure
         q = 1.0 if eps >= 1.0 else min(g / (1.0 - eps), 1.0)
-        u = Alphabet("u", z.symbols)
-        f_table = np.zeros((3, 2, 3))
-        for zi in (0, 1):
-            f_table[zi, 1, zi] = q
-            f_table[zi, 0, zi] = 1.0 - q
-        f_table[2, 0, 2] = 1.0
-        v = Alphabet("v", ("v0",))
-        b_table = np.ones((2, 3, 3, 1))
-        return Policy(Kernel((z,), (a, u), f_table), Kernel((a, u, y), (v,), b_table))
-    _check_budget(eps, g, f"case {case.tag}")
-    q = 0.0 if eps >= 1.0 else (g - eps) / (1.0 - eps)
-    if case.tag == "case2":
-        u = Alphabet("u", ("u0",))
-        f_table = np.zeros((3, 2, 1))
-        for zi in (0, 1):
-            f_table[zi, 1, 0] = q
-            f_table[zi, 0, 0] = 1.0 - q
-        f_table[2, 1, 0] = 1.0
+        erasure_action = 0
     else:
-        u = Alphabet("u", z.symbols)
-        f_table = np.zeros((3, 2, 3))
-        for zi in (0, 1):
-            f_table[zi, 1, zi] = q
-            f_table[zi, 0, zi] = 1.0 - q
-        f_table[2, 1, 2] = 1.0
-    # the relay of Y, with V's letters named after Y's
-    b_table = _identity_backward(spec, len(u), len(y))
-    return Policy(Kernel((z,), (a, u), f_table), Kernel((a, u, y), (Alphabet("v", y.symbols),), b_table))
+        # measure every erasure, and spend the rest of the budget on a
+        # share q of the unerased letters
+        _check_budget(eps, g, f"case {case.tag}")
+        q = 0.0 if eps >= 1.0 else (g - eps) / (1.0 - eps)
+        erasure_action = 1
+    # U copies Z, except in case 2, where it has one letter
+    u = Alphabet("u", ("u0",) if case.tag == "case2" else z.symbols)
+    u_of_z = (0, 0, 0) if case.tag == "case2" else (0, 1, 2)
+    f_table = np.zeros((3, 2, len(u)))
+    for zi in (0, 1):
+        f_table[zi, 1, u_of_z[zi]] = q
+        f_table[zi, 0, u_of_z[zi]] = 1.0 - q
+    f_table[2, erasure_action, u_of_z[2]] = 1.0
+    if case.tag == "case1":
+        # node 2 sends nothing back
+        v = Alphabet("v", ("v0",))
+        b_table = np.ones((2, len(u), 3, 1))
+    else:
+        # the relay of Y, with V's letters named after Y's
+        v = Alphabet("v", y.symbols)
+        b_table = _identity_backward(spec, len(u), len(y))
+    return Policy(Kernel((z,), (a, u), f_table), Kernel((a, u, y), (v,), b_table))
 
 
 def _check_budget(epsilon: float, gamma: float, needs: str | None = None) -> None:

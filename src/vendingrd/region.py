@@ -413,12 +413,7 @@ class _EvalContext:
         r2[r2 < 0.0] = 0.0
         d3 = [None] * len(F)
         if self.hb:
-            Fw = F.sum(axis=3)
-            # The sums over w, folded left in (a, z) order, add the terms
-            # in the order of one policy's einsum "zaw,azw->", which runs a
-            # single sum over (z, w) when |A| or |Z| is 1.
-            sub = "nzaw,kzaw->kn" if 1 in Fw.shape[1:3] else "nzaw,kzaw->knaz"
-            fin, forbidden = np.cumsum(np.einsum(sub, Fw, self.c3).reshape(2, len(F), -1), axis=2)[..., -1]
+            fin, forbidden = np.einsum("nzaw,kzaw->kn", F.sum(axis=3), self.c3)
             d3 = np.where(forbidden > 0.0, np.inf, fin).tolist()
         columns = (r1, r2, d1, d2, gamma)
         return [OperatingPoint(*point) for point in zip(*(c.tolist() for c in columns), d3)]

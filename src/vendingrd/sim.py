@@ -22,27 +22,28 @@ from .region import worker_count
 SCHEMES = ("case1", "case2_ts", "case3")
 
 # Block work (n * trials symbols) from which the trials run on threads; the
-# raw Philox draws that dominate a trial release the GIL.  Below this the
-# GIL hand-offs cost more than the second core gives back, so the trials run
-# in-process.  Medians of 9 runs at epsilon 0.2, gamma 0.6 on 2 vCPUs
-# (Python 3.11.7, numpy 2.4.6), in-process against 2 threads:
+# raw Philox draws and the comparisons that dominate a trial release the GIL.
+# Below this the GIL hand-offs cost more than the second core gives back, so
+# the trials run in-process.  Medians of 15 runs at epsilon 0.2, gamma 0.6 on
+# 2 vCPUs (Python 3.11.7, numpy 2.4.6), in-process against 2 threads:
 #
 #   symbols (trials x n)   case1         case2_ts      case3
-#   2e4 (20 x 1000)        1.8 / 5.5     1.4 / 5.7     1.5 / 6.0 ms
-#   1e5 (8 x 12500)        2.4 / 3.6     1.6 / 3.6     2.4 / 3.9 ms
-#   4e5 (8 x 50000)        6.3 / 6.3     5.3 / 7.0     6.8 / 6.9 ms
-#   1e6 (8 x 125000)      16.2 / 10.3   16.5 / 11.4   15.2 / 11.3 ms
-#   2e6 (8 x 250000)      30.9 / 20.5   31.1 / 18.7   24.0 / 16.3 ms
-#   8e6 (8 x 1e6)          101 / 65      119 / 81      105 / 71 ms
+#   2e4 (20 x 1000)        0.8 / 2.9     0.8 / 2.8     0.8 / 2.9 ms
+#   1e5 (8 x 12500)        0.9 / 1.7     1.0 / 1.8     0.9 / 1.7 ms
+#   4e5 (8 x 50000)        2.9 / 3.5     3.0 / 4.1     3.4 / 3.8 ms
+#   1e6 (8 x 125000)       9.1 / 7.8     9.4 / 8.2     8.2 / 7.2 ms
+#   2e6 (8 x 250000)      12.2 / 13.3   12.2 / 13.4   17.3 / 12.3 ms
+#   8e6 (8 x 1e6)         65.4 / 40.9   49.8 / 40.6   47.6 / 33.1 ms
 #
-# Threads break even between 4e5 and 1e6 symbols; another set of 9 runs
-# read a tie at 1e6 (10.0-11.7 / 9.5-10.6 ms).
+# Threads break even near 1e6 symbols: over six such sets of 9-21 runs,
+# in-process was faster in 17 of 18 scheme medians at 4e5, 10 of 18 at 1e6
+# and 6 of 18 at 2e6.
 POOL_MIN_SYMBOLS = 1_000_000
 
-# Symbols per streamed block of a trial; even, so every block but the last
-# starts on a whole source word.  A block's words and flags (about 370 KB)
-# stay in a core's cache: 2^14 ran 8e6 symbols on 2 threads in 77-83 ms
-# against 90-106 ms at 2^16, and 2^13 took 82-105 ms.
+# Symbols per streamed block of a trial.  A block's words and flags (about
+# 290 KB) stay in a core's cache.  8e6 symbols on 2 threads took 26-41 ms
+# at 2^14, 26-36 ms at 2^15 and 25-35 ms at 2^16 (scheme medians of 21
+# runs, within noise of each other), and 49-90 ms at 2^12 (9 runs).
 _CHUNK = 1 << 14
 
 
@@ -194,29 +195,18 @@ def _trial_case2_ts(n, epsilon, gamma, blocks):
 def _blocks(config: SimConfig, t: int):
     """Trial t's source bits and erasure flags, ``_CHUNK`` symbols at a time.
 
-    Yields (start, x, erased) bool blocks equal to the slices of
-    ``rng.integers(0, 2, n)`` and ``rng.random(n) < epsilon`` for
-    ``rng = Generator(Philox(SeedSequence((rng_seed, t))))``, read off the
-    raw 64-bit words.  ``integers`` takes bit 31 and then bit 63 of each of
-    the first ceil(n / 2) words; ``random`` compares the top 53 bits of each
-    of the next n words, which a second Philox reaches by advancing its
-    counter (four words per step).
+    Yields (start, x, erased) bool blocks read off the raw 64-bit words of
+    ``Philox(SeedSequence((rng_seed, t)))``, one word per symbol.  The top
+    bit is the source bit, and the symbol is erased when the low 53 bits,
+    read as an integer, fall below ceil(epsilon * 2^53): the law of
+    ``random() < epsilon``.  A counter-based generator's words are
+    independent uniform draws, so the two fields are independent.
     """
-    seed = np.random.SeedSequence((config.rng_seed, t))
-    bits = np.random.Philox(seed)
-    flags = np.random.Philox(seed)
-    skip = (config.n + 1) // 2
-    flags.advance(skip // 4)
-    flags.random_raw(skip % 4)
-    # random() < epsilon  <=>  (word >> 11) < ceil(epsilon * 2**53)
+    words = np.random.Philox(np.random.SeedSequence((config.rng_seed, t)))
     limit = math.ceil(config.epsilon * 2.0**53)
     for start in range(0, config.n, _CHUNK):
-        size = min(_CHUNK, config.n - start)
-        # a source bit is the top bit of a 32-bit half, low half first,
-        # which is the order of the int32 view on a little-endian host
-        x = bits.random_raw((size + 1) // 2).view(np.int32)[:size] < 0
-        erased = (flags.random_raw(size) >> 11) < limit
-        yield start, x, erased
+        raw = words.random_raw(min(_CHUNK, config.n - start))
+        yield start, raw >= 2**63, (raw & (2**53 - 1)) < limit
 
 
 def _run_trial(config: SimConfig, t: int) -> tuple[int, ...]:

@@ -91,6 +91,13 @@ def test_closed_form_flag_validation(capsys):
     assert len(errors) == 9 and all(line.startswith("error: ") for line in errors)
 
 
+def test_fig4_preset_refuses_d3(capsys):
+    assert main(["closed-form", "--preset", "fig4", "--d3", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --d3 only applies to the hb_case2 curve\n"
+
+
 def test_sweep_rejects_non_finite_targets(spec_path, capsys):
     for flag in ("--d1", "--d2", "--d3"):
         argv = ["sweep", "--spec", str(spec_path), "--d1", "0", "--d2", "1", "--gammas", "0.6"]
@@ -318,7 +325,7 @@ def test_simulate_is_deterministic(tmp_path):
 
 def test_simulate_prints_readme_row(capsys):
     # freezes the simulation streams: README prints this row
-    row = "case1,100000,0.2,0.4,10,1.122272,0,0.100312,0,0.4,0"
+    row = "case1,100000,0.2,0.4,10,1.121997,0,0.099913,0,0.4,0"
     assert row in (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert main([
         "simulate", "--scheme", "case1", "--n", "100000", "--epsilon", "0.2",
@@ -327,7 +334,7 @@ def test_simulate_prints_readme_row(capsys):
     header, printed = capsys.readouterr().out.strip().splitlines()
     assert header == "scheme,n,epsilon,gamma,trials,r1_hat,r2_hat,d1_hat,d2_hat,cost_hat,semi_analytic"
     assert printed == row
-    assert printed.split(",")[5] == "1.122272"
+    assert printed.split(",")[5] == "1.121997"
 
 
 def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from vendingrd.model import (
     spec_to_document,
     with_node3_erasure_metric,
 )
-from vendingrd.probability import entropy
+from vendingrd.probability import Alphabet, JointPmf, Kernel, TableError, entropy
 
 
 def test_erasure_source_marginals():
@@ -225,3 +226,47 @@ def test_loader_rejects_invalid_spec_documents(case):
     with pytest.raises(SpecFormatError) as err:
         spec_from_document(doc)
     assert named in str(err.value)
+
+
+def _negative_row(kernel):
+    table = kernel.table.copy()
+    table[0, 0, 0] = (1.5, -0.5, 0.0)
+    return Kernel(kernel.inputs, kernel.outputs, table)
+
+
+# Each case builds, from the erasure spec, a spec or a table of one of its
+# fields that the constructor must reject: (build, error, text the message
+# starts with, which names the field).
+CONSTRUCTOR_REJECTS = {
+    "source_variables": (
+        lambda s: replace(s, source=JointPmf((("z", s.z_alpha), ("x", s.x_alpha)), s.source.table.T)),
+        SpecFormatError, "source: variables",
+    ),
+    "source_alphabets": (
+        lambda s: replace(s, x_alpha=Alphabet("x", ("a", "b"))), SpecFormatError, "source: alphabets",
+    ),
+    "vending_alphabets": (lambda s: replace(s, y_alpha=Alphabet("y", ("p", "q", "r"))), SpecFormatError, "vending: "),
+    "cost_shape": (lambda s: replace(s, cost=np.zeros(3)), SpecFormatError, "cost: expected 2 action costs"),
+    "third_node_absent": (lambda s: replace(s, mode="heegard-berger"), SpecFormatError, "d3: heegard-berger"),
+    "third_node_present": (
+        lambda s: replace(with_node3_erasure_metric(s), mode="indirect"), SpecFormatError, "d3: mode 'indirect'",
+    ),
+    "metric_shape": (lambda s: replace(s, d1=np.zeros((2, 3, 3, 5))), SpecFormatError, "d1: expected shape"),
+    "table_shape": (
+        lambda s: JointPmf(s.source.variables, s.source.table[:, :2]),
+        TableError, "joint over ('x', 'z'): expected shape",
+    ),
+    "table_non_finite": (
+        lambda s: JointPmf(s.source.variables, np.where(s.source.table > 0.3, np.nan, s.source.table)),
+        TableError, "joint over ('x', 'z'): non-finite",
+    ),
+    "table_negative": (lambda s: _negative_row(s.vending), TableError, "kernel p(y|a,x,z): negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_REJECTS))
+def test_constructors_reject_invalid_fields(case):
+    build, error, named = CONSTRUCTOR_REJECTS[case]
+    with pytest.raises(error) as err:
+        build(binary_erasure_spec(0.2))
+    assert str(err.value).startswith(named), str(err.value)

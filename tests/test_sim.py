@@ -166,10 +166,12 @@ def test_pooled_runs_equal_in_process_runs(monkeypatch):
 
 
 def _reference_counts(config, t):
-    """Trial t's six counts from whole-array draws of its Philox stream."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.rng_seed, t))))
-    x = rng.integers(0, 2, size=config.n, dtype=np.int64)
-    erased = rng.random(config.n) < config.epsilon
+    """Trial t's six counts from one whole-array draw of its Philox words: a
+    symbol's source bit is its word's top bit, and its erasure a uniform on
+    the word's low 53 bits falling below epsilon."""
+    words = np.random.Philox(np.random.SeedSequence((config.rng_seed, t))).random_raw(config.n)
+    x = (words >> 63).astype(np.int64)
+    erased = (words % 2**53) * 2.0**-53 < config.epsilon
     n, k = config.n, int(erased.sum())
     m = n - k
     budget = math.floor(n * config.gamma + 1e-9)
@@ -191,9 +193,9 @@ def _reference_counts(config, t):
 
 @pytest.mark.parametrize("scheme", ["case1", "case2_ts", "case3"])
 def test_streamed_trials_equal_whole_array_draws(scheme, monkeypatch):
-    # pins the raw-word reading and the erasure stream's offset to numpy's
-    # Generator; gamma = epsilon puts case 3's budget at the erasure count,
-    # and case 2's split at the middle of the block
+    # pins the streamed blocks to one whole-array draw of each trial's words;
+    # gamma = epsilon puts case 3's budget at the erasure count, and case 2's
+    # split at the middle of the block
     chunk = sim._CHUNK
     monkeypatch.setenv("VENDINGRD_THREADS", "2")
     for crossover in (POOL_MIN_SYMBOLS, 1):
@@ -210,6 +212,24 @@ def test_streamed_trials_equal_whole_array_draws(scheme, monkeypatch):
                     result.forward_bits, result.backward_bits, result.action_counts,
                     result.erasure_counts, result.d1_errors, result.d2_errors,
                 ) == expected, (n, epsilon)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stream_fields_follow_their_laws(seed):
+    # overlapping or biased bit fields would skew one of these shares
+    n, epsilon = 2**20, 0.2
+    blocks = list(sim._blocks(SimConfig("case1", n, epsilon, 0.4, rng_seed=seed), 0))
+    x = np.concatenate([b[1] for b in blocks])
+    erased = np.concatenate([b[2] for b in blocks])
+    k = np.count_nonzero(erased)
+    shares = (
+        (np.count_nonzero(x), n, 0.5),
+        (k, n, epsilon),
+        (np.count_nonzero(x & erased), k, 0.5),
+    )
+    for hits, size, p in shares:
+        z = (hits - size * p) / math.sqrt(size * p * (1.0 - p))
+        assert abs(z) < 5.0, (hits, size, p)
 
 
 def test_no_erasures_gives_exact_bit_counts():
