@@ -38,7 +38,7 @@ from .region import (
     save_policy,
     sweep_gamma,
 )
-from .sim import SCHEMES, SimConfig, run_scheme, trial_workers
+from .sim import SCHEMES, SimConfig, run_scheme
 
 FIG4_CASES = ("case1", "case2", "case2_ts", "case3")
 FIG6_D3_LEVELS = (0.4, 0.6, 0.8, 1.0)
@@ -164,19 +164,10 @@ def cmd_sweep(args) -> tuple[list[str], int, list[Path]]:
 
 # --- simulations -----------------------------------------------------------
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(
-        scheme=args.scheme,
-        n=args.n,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        rng_seed=args.seed,
-        trials=args.trials,
-    )
-
-
 def cmd_simulate(args) -> tuple[list[str], int, list[Path]]:
-    row = run_scheme(_sim_config(args)).csv_row()
+    config = SimConfig(args.scheme, args.n, args.epsilon, args.gamma,
+                       rng_seed=args.seed, trials=args.trials)
+    row = run_scheme(config).csv_row()
     lines = [",".join(row), ",".join(_fmt(v) if not isinstance(v, str) else v for v in row.values())]
     return lines, 0, []
 
@@ -189,14 +180,6 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def _workers_used(args) -> int:
-    """The workers the command ran on: simulate's trial threads; every
-    other command runs in-process."""
-    if args.command == "simulate":
-        return trial_workers(_sim_config(args))
-    return 1
 
 
 def _write_manifest(args, outputs: list[Path], duration: float) -> None:
@@ -212,7 +195,6 @@ def _write_manifest(args, outputs: list[Path], duration: float) -> None:
         "rng_seeds": [args.seed] if "seed" in params else [],
         "outputs": [str(p) for p in outputs],
         "duration_seconds": round(duration, 3),
-        "workers": _workers_used(args),
         "cpu_count": os.cpu_count(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),

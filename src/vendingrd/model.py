@@ -243,8 +243,12 @@ def table_from_cells(
     or, for a ``metric``, from a list of ``[key, value]`` pairs.  Values are
     numbers or number strings; +inf only in a metric."""
     table = np.zeros(tuple(len(al) for al in alphas)) if out is None else out
+    seen = set()
     for key, raw in _items(cells, where, metric):
         idx = _key_to_indices(key, alphas, where)
+        if idx in seen:
+            raise SpecFormatError(f"{where}: repeated cell {key!r}")
+        seen.add(idx)
         try:
             value = math.nan if isinstance(raw, bool) else float(raw)
         except (TypeError, ValueError, OverflowError):
@@ -295,9 +299,19 @@ def read_alphabets(doc: Any, names: list[str], where: str) -> dict[str, Alphabet
 
 
 def read_json(path: str | Path, where: str) -> Any:
-    """Parse a JSON file; bad JSON raises SpecFormatError with its position."""
+    """Parse a JSON file; bad JSON raises SpecFormatError with its position,
+    and an object that repeats a key raises it naming the key."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise SpecFormatError(f"{where}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         msg = f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         raise SpecFormatError(f"{where}: {msg}") from None

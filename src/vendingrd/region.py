@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -481,22 +480,6 @@ def load_policy(path) -> Policy:
 
 
 # --- alternating-minimization solver ----------------------------------------
-
-def worker_count() -> int:
-    """The most threads a simulation may start: the core count, capped by
-    ``VENDINGRD_THREADS`` when it is set."""
-    workers = os.cpu_count() or 1
-    cap_raw = os.environ.get("VENDINGRD_THREADS")
-    if cap_raw:
-        try:
-            cap = int(cap_raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"VENDINGRD_THREADS must be a positive integer, got {cap_raw!r}")
-        workers = min(workers, cap)
-    return workers
-
 
 def _true_residuals(point: OperatingPoint, targets: Targets) -> dict:
     res = {

@@ -10,41 +10,22 @@ block grows, while staying on the achievable side at every finite length.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .closed_form import ExampleCase, example_rate
-from .region import worker_count
 
 SCHEMES = ("case1", "case2_ts", "case3")
 
-# Block work (n * trials symbols) from which the trials run on threads; the
-# raw Philox draws and the comparisons that dominate a trial release the GIL.
-# Below this the GIL hand-offs cost more than the second core gives back, so
-# the trials run in-process.  Medians of 15 runs at epsilon 0.2, gamma 0.6 on
-# 2 vCPUs (Python 3.11.7, numpy 2.4.6), in-process against 2 threads:
-#
-#   symbols (trials x n)   case1         case2_ts      case3
-#   2e4 (20 x 1000)        0.8 / 2.9     0.8 / 2.8     0.8 / 2.9 ms
-#   1e5 (8 x 12500)        0.9 / 1.7     1.0 / 1.8     0.9 / 1.7 ms
-#   4e5 (8 x 50000)        2.9 / 3.5     3.0 / 4.1     3.4 / 3.8 ms
-#   1e6 (8 x 125000)       9.1 / 7.8     9.4 / 8.2     8.2 / 7.2 ms
-#   2e6 (8 x 250000)      12.2 / 13.3   12.2 / 13.4   17.3 / 12.3 ms
-#   8e6 (8 x 1e6)         65.4 / 40.9   49.8 / 40.6   47.6 / 33.1 ms
-#
-# Threads break even near 1e6 symbols: over six such sets of 9-21 runs,
-# in-process was faster in 17 of 18 scheme medians at 4e5, 10 of 18 at 1e6
-# and 6 of 18 at 2e6.
-POOL_MIN_SYMBOLS = 1_000_000
-
-# Symbols per streamed block of a trial.  A block's words and flags (about
-# 290 KB) stay in a core's cache.  8e6 symbols on 2 threads took 26-41 ms
-# at 2^14, 26-36 ms at 2^15 and 25-35 ms at 2^16 (scheme medians of 21
-# runs, within noise of each other), and 49-90 ms at 2^12 (9 runs).
-_CHUNK = 1 << 14
+# Symbols per streamed block of a trial.  A block's words, their masked copy
+# and its flags (about 580 KB) stay in a core's L2 cache.  8e6 symbols on one
+# thread took 33.2 / 31.1 / 34.7 ms and 36.2 / 34.9 / 38.8 ms at 2^14 / 2^15
+# / 2^16 (medians of two sets of 45 interleaved runs on 2 vCPUs, Python
+# 3.11.7, numpy 2.4.6), and the benchmark's simulate workload read op_ms_p50
+# 30.9 -> 28.9 ms at 2^14 -> 2^15 with peak RSS flat (6 alternating pairs).
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -196,13 +177,13 @@ def _blocks(config: SimConfig, t: int):
     """Trial t's source bits and erasure flags, ``_CHUNK`` symbols at a time.
 
     Yields (start, x, erased) bool blocks read off the raw 64-bit words of
-    ``Philox(SeedSequence((rng_seed, t)))``, one word per symbol.  The top
+    ``SFC64(SeedSequence((rng_seed, t)))``, one word per symbol.  The top
     bit is the source bit, and the symbol is erased when the low 53 bits,
     read as an integer, fall below ceil(epsilon * 2^53): the law of
-    ``random() < epsilon``.  A counter-based generator's words are
-    independent uniform draws, so the two fields are independent.
+    ``random() < epsilon``.  The two fields are disjoint bits of one uniform
+    word, so they are independent.
     """
-    words = np.random.Philox(np.random.SeedSequence((config.rng_seed, t)))
+    words = np.random.SFC64(np.random.SeedSequence((config.rng_seed, t)))
     limit = math.ceil(config.epsilon * 2.0**53)
     for start in range(0, config.n, _CHUNK):
         raw = words.random_raw(min(_CHUNK, config.n - start))
@@ -220,28 +201,14 @@ def _run_trial(config: SimConfig, t: int) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def trial_workers(config: SimConfig) -> int:
-    """Threads ``run_scheme`` uses for ``config``: one below
-    ``POOL_MIN_SYMBOLS`` of block work, else one per trial up to
-    ``worker_count``."""
-    if config.n * config.trials < POOL_MIN_SYMBOLS:
-        return 1
-    return min(worker_count(), config.trials)
-
-
 def run_scheme(config: SimConfig) -> SimResult:
     """Run the configured trials and average their bit and error counts.
 
-    Trial t draws from a counter-based stream keyed by (rng_seed, t), so the
-    result is reproducible and independent of how trials are scheduled:
-    in-process or on threads, as ``trial_workers`` decides.
+    Trial t reads its own stream, keyed by (rng_seed, t), from its first
+    word, so the result is reproducible, and trial t's counts do not depend
+    on how many trials run.
     """
-    workers = trial_workers(config)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, [config] * config.trials, range(config.trials)))
-    else:
-        records = [_run_trial(config, t) for t in range(config.trials)]
+    records = [_run_trial(config, t) for t in range(config.trials)]
     fw, bw, act, era, d1e, d2e = (tuple(r[i] for r in records) for i in range(6))
     denom = float(config.trials * config.n)
     return SimResult(

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +257,7 @@ def test_sweep_rejects_v_smaller_than_y(spec_path, capsys):
     assert captured.err.startswith("error: ") and "|Y| = 3" in captured.err
 
 
-def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("VENDINGRD_THREADS", "1")
+def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path):
     seed = _policy_path(tmp_path, "case2", 0.6)
     out_csv = tmp_path / "sweep.csv"
     dump_dir = tmp_path / "policies"
@@ -279,7 +279,6 @@ def test_sweep_dumps_policies_and_manifest(spec_path, tmp_path, monkeypatch):
     assert str(out_csv) in manifest["outputs"]
     assert str(dumped) in manifest["outputs"]
     assert manifest["parameters"]["gammas"] == [0.6]
-    assert manifest["workers"] == 1
     assert manifest["cpu_count"] == os.cpu_count()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["python_version"] == platform.python_version()
@@ -325,7 +324,7 @@ def test_simulate_is_deterministic(tmp_path):
 
 def test_simulate_prints_readme_row(capsys):
     # freezes the simulation streams: README prints this row
-    row = "case1,100000,0.2,0.4,10,1.121997,0,0.099913,0,0.4,0"
+    row = "case1,100000,0.2,0.4,10,1.121593,0,0.099663,0,0.4,0"
     assert row in (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert main([
         "simulate", "--scheme", "case1", "--n", "100000", "--epsilon", "0.2",
@@ -334,11 +333,12 @@ def test_simulate_prints_readme_row(capsys):
     header, printed = capsys.readouterr().out.strip().splitlines()
     assert header == "scheme,n,epsilon,gamma,trials,r1_hat,r2_hat,d1_hat,d2_hat,cost_hat,semi_analytic"
     assert printed == row
-    assert printed.split(",")[5] == "1.121997"
+    assert printed.split(",")[5] == "1.121593"
 
 
-def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):
-    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+def test_short_simulate_manifest_records_one_worker(tmp_path):
+    """Every command runs on the calling thread, so the manifest carries no
+    worker count."""
     out_csv = tmp_path / "short.csv"
     flags = [
         "simulate", "--scheme", "case3", "--n", "1000", "--epsilon", "0.2",
@@ -347,12 +347,12 @@ def test_short_simulate_manifest_records_one_worker(tmp_path, monkeypatch):
     assert main(flags) == 0
     manifest = json.loads((tmp_path / "short.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
-    assert manifest["workers"] == 1
+    assert "workers" not in manifest
 
 
-def test_sweep_manifest_records_one_worker(spec_path, tmp_path, monkeypatch):
-    """A sweep solves its starts in-process whatever the thread cap."""
-    monkeypatch.setenv("VENDINGRD_THREADS", "2")
+def test_sweep_manifest_records_one_worker(spec_path, tmp_path):
+    """A sweep solves its starts on the calling thread, so the manifest
+    carries no worker count."""
     out_csv = tmp_path / "sweep.csv"
     flags = [
         "sweep", "--spec", str(spec_path), "--d1", "0.5", "--d2", "1.0", "--gammas", "0.5",
@@ -360,7 +360,23 @@ def test_sweep_manifest_records_one_worker(spec_path, tmp_path, monkeypatch):
         "--output", str(out_csv),
     ]
     assert main(flags) == 0
-    assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["workers"] == 1
+    assert "workers" not in json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+
+
+def test_no_command_starts_a_thread(spec_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command started a thread or forked a process")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main([
+        "simulate", "--scheme", "case3", "--n", "125000", "--epsilon", "0.2",
+        "--gamma", "0.6", "--trials", "8",
+    ]) == 0
+    assert main([
+        "sweep", "--spec", str(spec_path), "--d1", "0.0", "--d2", "1.0", "--gammas", "0.4", "0.6",
+        "--restarts", "4", "--max-iters", "2", "--hops", "1", "--cardinality", "3", "3",
+    ]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

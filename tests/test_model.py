@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vendingrd.closed_form import ExampleCase, appendixB_policy
 from vendingrd.model import (
     ProblemSpec,
     SpecFormatError,
@@ -15,6 +16,7 @@ from vendingrd.model import (
     with_node3_erasure_metric,
 )
 from vendingrd.probability import Alphabet, JointPmf, Kernel, TableError, entropy
+from vendingrd.region import load_policy, save_policy
 
 
 def test_erasure_source_marginals():
@@ -225,6 +227,36 @@ def test_loader_rejects_invalid_spec_documents(case):
     field[path[-1]] = value
     with pytest.raises(SpecFormatError) as err:
         spec_from_document(doc)
+    assert named in str(err.value)
+
+
+# Each case writes a document in which one field repeats a key or a metric
+# cell, the last copy being a valid value: (which document, path to the
+# field, JSON text put there, text the error names).
+REPEATS = {
+    "cost_key": ("spec", ("cost",), '{"0": "0", "1": "5", "1": "1"}', "'1'"),
+    "document_key": ("spec", ("mode",), '"indirect", "mode": "indirect"', "'mode'"),
+    "metric_cell": ("spec", ("metrics", "d1"), '[["0,0,0,1", "5"], ["0,0,0,1", "1"]]', "metrics.d1"),
+    "policy_row_cell": ("policy", ("forward", "e"), '{"0,e": "0.5", "0,e": "1"}', "'0,e'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_loaders_reject_repeated_keys(case, tmp_path):
+    kind, path, text, named = REPEATS[case]
+    target = tmp_path / f"{kind}.json"
+    if kind == "spec":
+        save_spec(binary_erasure_spec(0.2), target)
+    else:
+        save_policy(appendixB_policy(ExampleCase("case1", 0.2, 0.4)), target)
+    doc = json.loads(target.read_text())
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = "@"
+    target.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(SpecFormatError, match="repeated") as err:
+        (load_spec if kind == "spec" else load_policy)(target)
     assert named in str(err.value)
 
 

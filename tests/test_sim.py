@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,16 +8,7 @@ from vendingrd import sim
 from vendingrd.closed_form import case1_r1, case3_r1
 from vendingrd.model import InfeasibleError
 from vendingrd.probability import binary_entropy
-from vendingrd.region import worker_count
-from vendingrd.sim import (
-    POOL_MIN_SYMBOLS,
-    SimConfig,
-    SimResult,
-    convergence_table,
-    enumerative_bits,
-    run_scheme,
-    trial_workers,
-)
+from vendingrd.sim import SimConfig, convergence_table, enumerative_bits, run_scheme
 
 
 def test_enumerative_bits_small_values():
@@ -123,53 +113,20 @@ def test_trial_streams_do_not_depend_on_trial_count():
     assert many.erasure_counts[0] == few.erasure_counts[0]
 
 
-def test_trial_workers_split_at_the_crossover(monkeypatch):
-    monkeypatch.setenv("VENDINGRD_THREADS", "2")
-    pooled = worker_count()
-    assert trial_workers(SimConfig("case3", 1000, 0.2, 0.6, trials=20)) == 1
-    assert trial_workers(SimConfig("case3", 10**6, 0.2, 0.6, trials=8)) == pooled
-    edge = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, trials=4)
-    assert trial_workers(edge) == pooled
-    assert trial_workers(replace(edge, n=edge.n - 1)) == 1
-
-
-def test_short_runs_start_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a short simulation started a thread pool")
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("VENDINGRD_THREADS", "2")
-    result = run_scheme(SimConfig("case3", 1000, 0.2, 0.6, rng_seed=1, trials=20))
-    assert len(result.forward_bits) == 20
-
-
 def test_long_runs_fork_no_process(monkeypatch):
     def no_fork(*args, **kwargs):
         raise AssertionError("a simulation forked a process")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setenv("VENDINGRD_THREADS", "2")
-    config = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, rng_seed=1, trials=4)
-    assert trial_workers(config) == worker_count()
+    config = SimConfig("case3", 250_000, 0.2, 0.6, rng_seed=1, trials=4)
     assert len(run_scheme(config).forward_bits) == 4
 
 
-def test_pooled_runs_equal_in_process_runs(monkeypatch):
-    config = SimConfig("case3", POOL_MIN_SYMBOLS // 4, 0.2, 0.6, rng_seed=5, trials=4)
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("VENDINGRD_THREADS", threads)
-        results.append(run_scheme(config))
-    in_process, pooled = results
-    for field in fields(SimResult):
-        assert getattr(in_process, field.name) == getattr(pooled, field.name), field.name
-
-
 def _reference_counts(config, t):
-    """Trial t's six counts from one whole-array draw of its Philox words: a
+    """Trial t's six counts from one whole-array draw of its SFC64 words: a
     symbol's source bit is its word's top bit, and its erasure a uniform on
     the word's low 53 bits falling below epsilon."""
-    words = np.random.Philox(np.random.SeedSequence((config.rng_seed, t))).random_raw(config.n)
+    words = np.random.SFC64(np.random.SeedSequence((config.rng_seed, t))).random_raw(config.n)
     x = (words >> 63).astype(np.int64)
     erased = (words % 2**53) * 2.0**-53 < config.epsilon
     n, k = config.n, int(erased.sum())
@@ -192,26 +149,22 @@ def _reference_counts(config, t):
 
 
 @pytest.mark.parametrize("scheme", ["case1", "case2_ts", "case3"])
-def test_streamed_trials_equal_whole_array_draws(scheme, monkeypatch):
+def test_streamed_trials_equal_whole_array_draws(scheme):
     # pins the streamed blocks to one whole-array draw of each trial's words;
     # gamma = epsilon puts case 3's budget at the erasure count, and case 2's
     # split at the middle of the block
     chunk = sim._CHUNK
-    monkeypatch.setenv("VENDINGRD_THREADS", "2")
-    for crossover in (POOL_MIN_SYMBOLS, 1):
-        monkeypatch.setattr(sim, "POOL_MIN_SYMBOLS", crossover)
-        for n in (1, 2, 3, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            for epsilon in (0.0, 1.0, 0.2, 0.1234567):
-                gamma = (1.0 + epsilon) / 2 if scheme == "case2_ts" else epsilon
-                config = SimConfig(scheme, n, epsilon, gamma, rng_seed=n % 5, trials=2)
-                assert trial_workers(config) == (1 if crossover > 1 else worker_count())
-                result = run_scheme(config)
-                records = [_reference_counts(config, t) for t in range(2)]
-                expected = tuple(tuple(r[i] for r in records) for i in range(6))
-                assert (
-                    result.forward_bits, result.backward_bits, result.action_counts,
-                    result.erasure_counts, result.d1_errors, result.d2_errors,
-                ) == expected, (n, epsilon)
+    for n in (1, 2, 3, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for epsilon in (0.0, 1.0, 0.2, 0.1234567):
+            gamma = (1.0 + epsilon) / 2 if scheme == "case2_ts" else epsilon
+            config = SimConfig(scheme, n, epsilon, gamma, rng_seed=n % 5, trials=2)
+            result = run_scheme(config)
+            records = [_reference_counts(config, t) for t in range(2)]
+            expected = tuple(tuple(r[i] for r in records) for i in range(6))
+            assert (
+                result.forward_bits, result.backward_bits, result.action_counts,
+                result.erasure_counts, result.d1_errors, result.d2_errors,
+            ) == expected, (n, epsilon)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
