@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .closed_form import CASE_TAGS, ExampleCase, example_rate
+from .closed_form import CASE_TAGS, curve_rate
 from .model import InfeasibleError, SpecFormatError, load_spec
 from .probability import TableError, check_markov
 from .region import (
@@ -87,8 +87,8 @@ def cmd_closed_form(args) -> tuple[list[str], int, list[Path]]:
         lines.append(label)
         for g in grid:
             try:
-                case = ExampleCase(tag, epsilon, g, d3)
-                r1 = example_rate(case)
+                # each rate function checks epsilon, gamma and d3 itself
+                r1 = curve_rate(tag, epsilon, g, d3)
             except InfeasibleError:
                 lines.append(f"{_fmt(g)},,,0")
                 continue

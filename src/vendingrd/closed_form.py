@@ -141,11 +141,14 @@ _CASE_RATE = {"case1": case1_r1, "case2": case2_r1, "case2_ts": case2_ts_r1, "ca
               "hb_case2": hb_case2_r1}
 
 
+def curve_rate(tag: str, epsilon: float, gamma: float, d3: float | None = None) -> float:
+    """Closed-form rate of curve ``tag`` at (epsilon, gamma), and at d3 for the third-node curve."""
+    return _CASE_RATE[tag](epsilon, gamma, *(() if d3 is None else (d3,)))
+
+
 def example_rate(case: ExampleCase) -> float:
-    """Dispatch an ExampleCase to its closed-form rate, a function of
-    (epsilon, gamma), and of d3 for the third-node curve."""
-    levels = (case.epsilon, case.gamma) + (() if case.d3 is None else (case.d3,))
-    return _CASE_RATE[case.tag](*levels)
+    """Dispatch a validated ExampleCase to its closed-form rate."""
+    return curve_rate(case.tag, case.epsilon, case.gamma, case.d3)
 
 
 def appendixB_policy(case: ExampleCase) -> Policy:

@@ -6,6 +6,7 @@ mutual informations come out in bits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -129,11 +130,12 @@ def plog2p(p: np.ndarray) -> np.ndarray:
 
 
 def binary_entropy(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) variable; p must lie in [0, 1]."""
+    """Entropy in bits of a Bernoulli(p) variable, on Python floats; p must lie in [0, 1]."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
-    return float(-plog2p(p) - plog2p(1.0 - p))
+    q = 1.0 - p
+    return -(p * math.log2(p) if p > 0.0 else 0.0) - (q * math.log2(q) if q > 0.0 else 0.0)
 
 
 def _resolve(joint: JointPmf, names: Iterable[str]) -> tuple[int, ...]:

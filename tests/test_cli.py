@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -7,9 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vendingrd.cli import _build_parser, main
-from vendingrd.closed_form import ExampleCase, appendixB_policy, case1_r1, hb_abstention_cost, hb_case2_r1
-from vendingrd.model import binary_erasure_spec, save_spec, with_node3_erasure_metric
+from vendingrd.cli import _build_parser, _fmt, main
+from vendingrd.closed_form import (
+    CASE_TAGS,
+    ExampleCase,
+    appendixB_policy,
+    case1_r1,
+    example_rate,
+    hb_abstention_cost,
+    hb_case2_r1,
+)
+from vendingrd.model import InfeasibleError, binary_erasure_spec, save_spec, with_node3_erasure_metric
 from vendingrd.probability import Alphabet, Kernel
 from vendingrd.region import OptimizerConfig, Policy, load_policy, save_policy
 
@@ -76,6 +85,43 @@ def test_closed_form_fig6_curves_flatten(capsys):
     assert all(r == pytest.approx(flat, abs=1e-6) for r in rates)
 
 
+@pytest.mark.parametrize(
+    "preset,epsilon,digest",
+    [
+        ("fig4", "0.05", "2e5826972a60273f"),
+        ("fig4", "0.2", "2dddf7df03cf8e0e"),
+        ("fig4", "0.5", "fca41aff06659cba"),
+        ("fig6", "0.05", "0091e1ff831bacb6"),
+        ("fig6", "0.2", "7a57ad14e6e1e4c6"),
+        ("fig6", "0.5", "5a79f43d6fe01c55"),
+    ],
+)
+def test_closed_form_tables_are_pinned(preset, epsilon, digest, capsys):
+    """The preset tables keep every byte: sha256 prefixes of the recorded output."""
+    assert main(["closed-form", "--preset", preset, "--epsilon", epsilon]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_closed_form_rows_equal_example_rate(tag, capsys):
+    """Each table row is the library's rate for the validated ExampleCase, or
+    an infeasible row where that raises InfeasibleError."""
+    grid = ["0", "0.05", "0.15", "0.2", "0.35", "0.6", "0.99", "1"]
+    levels = [0.4, 1.0] if tag == "hb_case2" else [None]
+    argv = ["closed-form", "--case", tag, "--epsilon", str(EPS), "--gamma", *grid]
+    assert main(argv + (["--d3", "0.4", "1.0"] if tag == "hb_case2" else [])) == 0
+    want = []
+    for d3 in levels:
+        for g in map(float, grid):
+            try:
+                r1 = example_rate(ExampleCase(tag, EPS, g, d3))
+            except InfeasibleError:
+                want.append([_fmt(g), "", "", "0"])
+                continue
+            want.append([_fmt(g), _fmt(r1), _fmt(0.0 if tag == "case1" else EPS), "1"])
+    assert _rows(capsys.readouterr().out) == want
+
+
 def test_closed_form_flag_validation(capsys):
     assert main(["closed-form", "--case", "case1", "--epsilon", "1.5"]) == 2
     assert main(["closed-form", "--case", "hb_case2", "--epsilon", "0.2"]) == 2
@@ -86,10 +132,12 @@ def test_closed_form_flag_validation(capsys):
         argv = ["closed-form", "--case", "hb_case2", "--epsilon", "0.2", "--gamma", "0.3", "0.6"]
         assert main(argv + ["--d3", bad]) == 2
         assert main(["closed-form", "--preset", "fig6", "--gamma", "0.6", "--d3", bad]) == 2
+    assert main(["closed-form", "--preset", "fig4", "--epsilon", "nan"]) == 2
+    assert main(["closed-form", "--case", "case2", "--gamma", "0.3", "nan"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = captured.err.splitlines()
-    assert len(errors) == 9 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 11 and all(line.startswith("error: ") for line in errors)
 
 
 def test_fig4_preset_refuses_d3(capsys):
@@ -336,7 +384,7 @@ def test_simulate_prints_readme_row(capsys):
     assert printed.split(",")[5] == "1.121593"
 
 
-def test_short_simulate_manifest_records_one_worker(tmp_path):
+def test_short_simulate_manifest_records_no_worker_count(tmp_path):
     """Every command runs on the calling thread, so the manifest carries no
     worker count."""
     out_csv = tmp_path / "short.csv"
@@ -350,7 +398,7 @@ def test_short_simulate_manifest_records_one_worker(tmp_path):
     assert "workers" not in manifest
 
 
-def test_sweep_manifest_records_one_worker(spec_path, tmp_path):
+def test_sweep_manifest_records_no_worker_count(spec_path, tmp_path):
     """A sweep solves its starts on the calling thread, so the manifest
     carries no worker count."""
     out_csv = tmp_path / "sweep.csv"

@@ -549,5 +549,5 @@ def test_search_runs_in_process_without_numpy_random():
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src, "VENDINGRD_THREADS": "2"}, check=True)
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"

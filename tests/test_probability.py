@@ -13,6 +13,7 @@ from vendingrd.probability import (
     entropy,
     expectation,
     marginalize,
+    plog2p,
     product_joint,
 )
 
@@ -34,10 +35,22 @@ def test_binary_entropy_values():
     assert binary_entropy(1 / 3) == pytest.approx(0.9182958340544896, abs=1e-12)
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
+@pytest.mark.parametrize("p", [-0.1, 1.1, 2.0, float("nan"), float("inf"), float("-inf")])
 def test_binary_entropy_domain(p):
     with pytest.raises(ValueError):
         binary_entropy(p)
+
+
+def test_binary_entropy_matches_the_array_path():
+    """The scalar entropy on Python floats agrees with plog2p, the array
+    primitive, to within two ulps of 1 bit."""
+    draws = np.random.default_rng(3).random(10_000)
+    for p in np.concatenate([np.linspace(0.0, 1.0, 10_000), draws]):
+        h = binary_entropy(p)
+        assert type(h) is float
+        assert abs(h - float(-plog2p(p) - plog2p(1.0 - p))) <= 4.5e-16, p
+    assert (binary_entropy(0.0), binary_entropy(1.0), binary_entropy(0.5)) == (0.0, 0.0, 1.0)
+    assert all(np.isfinite(binary_entropy(p)) for p in (5e-324, 1.0 - 2.0**-53))
 
 
 def test_alphabet_validation():
