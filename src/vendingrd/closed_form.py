@@ -19,9 +19,6 @@ from .model import InfeasibleError, binary_erasure_spec
 from .probability import Alphabet, Kernel, binary_entropy, plog2p
 from .region import Policy, _identity_backward
 
-CASE_TAGS = ("case1", "case2", "case2_ts", "case3", "hb_case2")
-
-
 @dataclass(frozen=True)
 class ExampleCase:
     """One point on one closed-form curve of the erasure example."""
@@ -139,6 +136,7 @@ def hb_case2_r1(epsilon: float, gamma: float, d3: float) -> float:
 
 _CASE_RATE = {"case1": case1_r1, "case2": case2_r1, "case2_ts": case2_ts_r1, "case3": case3_r1,
               "hb_case2": hb_case2_r1}
+CASE_TAGS = tuple(_CASE_RATE)
 
 
 def curve_rate(tag: str, epsilon: float, gamma: float, d3: float | None = None) -> float:

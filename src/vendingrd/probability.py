@@ -34,6 +34,8 @@ class Alphabet:
             raise TableError(f"alphabet {self.name!r} has no symbols")
         if len(set(self.symbols)) != len(self.symbols):
             raise TableError(f"alphabet {self.name!r} has repeated symbols")
+        if any("," in s for s in self.symbols):
+            raise TableError(f"alphabet {self.name!r} has a symbol with a comma, the codec's key separator")
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -340,6 +340,22 @@ def _entropy_of(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(p + 1e-300)).reshape(len(p), -1).sum(axis=1)
 
 
+def _bayes(weights, terms, subscript):
+    """A node's Bayes decoder: the weights of each observation (the output
+    letters of ``subscript`` before k) and reconstruction k, +inf where k
+    has forbidden mass, and each observation's choice, the earliest cheapest
+    allowed k or, where every k has forbidden mass, the k with the least.
+    ``terms`` is a metric's (z, a, y, k) finite part and forbidden mass, the
+    mass None where the metric forbids nothing."""
+    fin, inf = terms
+    w = np.einsum(subscript, weights, fin)
+    if inf is None:
+        return w, w.argmin(axis=-1)
+    mass = np.einsum(subscript, weights, inf)
+    w = np.where(mass > 0.0, np.inf, w)
+    return w, np.where((mass > 0.0).all(axis=-1), mass.argmin(axis=-1), w.argmin(axis=-1))
+
+
 class _EvalContext:
     """Precompiled tables for fast repeated policy evaluation on one spec.
 
@@ -348,8 +364,10 @@ class _EvalContext:
     result is the n policies' ``OperatingPoint``s.  A point has
     r1 = I(Z; A, W) + I(Z; U | A, W, Y), r2 = I(Y; V | Z, A, U, W), the
     expected cost, the Bayes distortions of node 1 from (Z, V) and node 2
-    from (U, Y), and, with a third node, d3 averaged over W.  A distortion
-    is +inf where its decoder is forced onto a forbidden (+inf) cell.
+    from (U, Y), and, with a third node, d3 averaged over W.  Both decoders
+    are ``_bayes``, the solver's too, and the output letters of its einsum
+    subscript name what the node observes.  A distortion is +inf where its
+    decoder is forced onto a forbidden (+inf) cell.
     Without a third node W has one letter.  Each policy's point equals,
     bit for bit, that of the same policy evaluated as a stack of one.
     """
@@ -364,8 +382,7 @@ class _EvalContext:
         # sum_x p(x, z) p(y | a, x, z) on the (z, a, u, w, y) axes; F does not
         # depend on x, so p(z, a, u, w, y) is F times this, a broadcast
         self.pzay = SV.sum(axis=1).transpose(1, 0, 2)[:, :, None, None, :]
-        self.c1_fin, self.c1_inf = self._metric_terms(SV, spec.d1)
-        self.c2_fin, self.c2_inf = self._metric_terms(SV, spec.d2)
+        self.c1, self.c2 = (self._metric_terms(SV, metric) for metric in (spec.d1, spec.d2))
         if self.hb:
             d3 = spec.d3
             fin = np.isfinite(d3)
@@ -404,9 +421,10 @@ class _EvalContext:
             - _entropy_of(pzawy.sum(axis=1))
         )
         r1[r1 < 0.0] = 0.0
-        fb = np.einsum("nzauw,auywv->nzayv", F, B)
-        d1 = self._decode(fb, self.c1_fin, self.c1_inf, "nzayv,zayk->nvzk")
-        d2 = self._decode(F.sum(axis=4), self.c2_fin, self.c2_inf, "nzau,zayk->nuyk")
+        w1 = _bayes(np.einsum("nzauw,auywv->nzayv", F, B), self.c1, "nzayv,zayk->nvzk")[0]
+        w2 = _bayes(F.sum(axis=4), self.c2, "nzau,zayk->nuyk")[0]
+        # per policy, the sum over observations of the cheapest reconstruction
+        d1, d2 = (w.reshape(len(F), -1, w.shape[-1]).min(axis=2).sum(axis=1) for w in (w1, w2))
         pzauwyv = np.einsum("nzauwy,auywv->nzauwyv", pzauwy, B)
         r2 = h_zauwy + _entropy_of(pzauwyv.sum(axis=5)) - _entropy_of(pzauwyv) - _entropy_of(pzauw)
         r2[r2 < 0.0] = 0.0
@@ -416,16 +434,6 @@ class _EvalContext:
             d3 = np.where(forbidden > 0.0, np.inf, fin).tolist()
         columns = (r1, r2, d1, d2, gamma)
         return [OperatingPoint(*point) for point in zip(*(c.tolist() for c in columns), d3)]
-
-    @staticmethod
-    def _decode(left, c_fin, c_inf, subscript) -> np.ndarray:
-        """Per policy, the sum of per-observation minima, +inf where an
-        observation has forbidden mass on every reconstruction."""
-        w = np.einsum(subscript, left, c_fin)
-        w = w.reshape(len(w), -1, w.shape[-1])
-        if c_inf is not None:
-            w = np.where(np.einsum(subscript, left, c_inf).reshape(w.shape) > 0.0, np.inf, w)
-        return w.min(axis=2).sum(axis=1)
 
 
 def evaluate_point(spec: ProblemSpec, policy: Policy) -> OperatingPoint:
@@ -523,19 +531,19 @@ class _Solver:
 
     r1 ln 2 is the minimum over r(a, w) and q(u | a, w, y) of
     E[ln F - ln r - ln q], reached at r = p(a, w) and q = p(u | a, w, y).
-    One iteration fixes F's Bayes decoders (node 1 decodes from (Z, Y),
-    node 2 from (U, Y)), under which the cost and the distortions are
-    linear in F, then takes ``_SWEEPS`` sweeps.  A sweep sets r and q to
-    F's marginals, then F to the Gibbs kernel F(. | z) ∝ exp(θ - Σ_j ν_j
-    c_j) with θ = ln r + Σ_y p(y | z, a) ln q, c_j the per-cell costs of the
-    targets, and no mass on the cells whose chosen reconstruction is
-    forbidden (+inf).  The multipliers ν maximize the concave dual by at
-    most ``_NEWTON_STEPS`` projected Newton steps, with every ν capped at
-    ``_NU_CAP``.  A step is taken in full where that raises the dual, and
-    elsewhere at the best of ``_BACKTRACK``'s shorter sizes; a start whose
-    multipliers did not move is final.  Every step is decided per start
-    and every sum runs along a start's own axes, so a start's iterates do
-    not depend on the rest of its stack.
+    One iteration fixes F's Bayes decoders, the judge's ``_bayes`` with
+    node 1 decoding from (Z, Y) and node 2 from (U, Y), under which the cost
+    and the distortions are linear in F, then takes ``_SWEEPS`` sweeps.  A
+    sweep sets r and q to F's marginals, then F to the Gibbs kernel
+    F(. | z) ∝ exp(θ - Σ_j ν_j c_j) with θ = ln r + Σ_y p(y | z, a) ln q,
+    c_j the per-cell costs of the targets, and no mass on the cells whose
+    chosen reconstruction is forbidden (+inf).  The multipliers ν maximize
+    the concave dual by at most ``_NEWTON_STEPS`` projected Newton steps,
+    with every ν capped at ``_NU_CAP``.  A step is taken in full where that
+    raises the dual, and elsewhere at the best of ``_BACKTRACK``'s shorter
+    sizes; a start whose multipliers did not move is final.  Every step is
+    decided per start and every sum runs along a start's own axes, so a
+    start's iterates do not depend on the rest of its stack.
     """
 
     def __init__(self, ctx: _EvalContext, targets: Targets):
@@ -545,8 +553,8 @@ class _Solver:
         self.per_z = np.where(ctx.pz > 0.0, 1.0 / np.where(ctx.pz > 0.0, ctx.pz, 1.0), 0.0)[:, None, None, None]
         self.pyza = ctx.pzay * self.per_z[..., None]
         # each node's (z, a, y, k) tables, spread onto the axes of its cells
-        self.node1 = [None if c is None else c[None] for c in (ctx.c1_fin, ctx.c1_inf)]
-        self.node2 = [None if c is None else c[None, :, :, None] for c in (ctx.c2_fin, ctx.c2_inf)]
+        self.node1 = [None if c is None else c[None] for c in ctx.c1]
+        self.node2 = [None if c is None else c[None, :, :, None] for c in ctx.c2]
         # the cost's and d3's tables on the (z, a, u, w) axes
         self.cost, self.d3, self.bad3 = ctx.cost[:, None, None], [], False
         if ctx.hb:
@@ -580,15 +588,24 @@ class _Solver:
     def _costs(self, F):
         """The costs (n, J, z, cells) of the targets under the Bayes
         decoders of the stack F, and the cells they forbid."""
-        # node 1 observes (z, y) and node 2 (u, y)
-        e1, bad1 = _decoded(F.sum(axis=(3, 4))[..., None, None], *self.node1, (2,))
-        e2, bad2 = _decoded(F.sum(axis=4)[..., None, None], *self.node2, (1, 2))
+        (e1, bad1), (e2, bad2) = self._decoders(F)
         cells = [self.cost, e1[..., None, None] * self.per_z, e2[..., None] * self.per_z] + self.d3
         costs = np.stack([np.broadcast_to(c, F.shape) for c in cells], axis=1)
         forbidden = np.broadcast_to(np.asarray(bad1)[..., None, None] | np.asarray(bad2)[..., None] | self.bad3, F.shape)
         # a row with no allowed cell keeps them all: no kernel meets the targets
         forbidden = forbidden & ~forbidden.all(axis=(2, 3, 4), keepdims=True)
         return costs.reshape(len(F), len(self.limits), len(self.pz), -1), forbidden
+
+    def _decoders(self, F):
+        """Per node, each cell's cost under the Bayes decoder of the stack F,
+        y summed out, and whether the cell is forbidden."""
+        # node 1 observes (z, y), since V relays Y, and node 2 (u, y)
+        choice1 = _bayes(F.sum(axis=(3, 4)), self.ctx.c1, "nza,zayk->nzyk")[1]
+        choice2 = _bayes(F.sum(axis=4), self.ctx.c2, "nzau,zayk->nuyk")[1]
+        picks = ((self.node1, choice1[:, :, None, :, None]), (self.node2, choice2[:, None, None, :, :, None]))
+        for tables, pick in picks:
+            fin, inf = (None if t is None else np.take_along_axis(t, pick, axis=-1).sum(axis=(-2, -1)) for t in tables)
+            yield fin, False if inf is None else inf > 0.0
 
     def _dual(self, theta, costs, nu):
         """The dual objective at multipliers nu (..., J), and the Gibbs
@@ -643,24 +660,6 @@ class _Solver:
             nu[live], g[live] = new[moved], g_new[moved]
             P[live] = mass[moved] / total[moved]
         return P, nu
-
-
-def _decoded(weights, fin, inf, axes):
-    """A Bayes decoder's cost per cell, y summed out, and its forbidden cells.
-
-    ``weights`` times a metric's (z, a, y, k) tables ``fin`` and ``inf``,
-    both on the cells' axes, summed over ``axes``, is each observation's
-    cost per reconstruction k.  The decoder takes the cheapest k with no
-    forbidden mass or, when every k has some, the one with the least."""
-    w_fin = (weights * fin).sum(axis=axes, keepdims=True)
-    choice = w_fin.argmin(axis=-1)
-    if inf is not None:
-        w_inf = (weights * inf).sum(axis=axes, keepdims=True)
-        allowed = np.where(w_inf > 0.0, np.inf, w_fin)
-        choice = np.where(np.isinf(allowed.min(axis=-1)), w_inf.argmin(axis=-1), allowed.argmin(axis=-1))
-    pick = choice[..., None]
-    bad = False if inf is None else np.take_along_axis(inf, pick, axis=-1).sum(axis=(-2, -1)) > 0.0
-    return np.take_along_axis(fin, pick, axis=-1).sum(axis=(-2, -1)), bad
 
 
 def _judge(ctx, targets, F, B) -> list:

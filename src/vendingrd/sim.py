@@ -17,8 +17,6 @@ import numpy as np
 
 from .closed_form import ExampleCase, example_rate
 
-SCHEMES = ("case1", "case2_ts", "case3")
-
 # Symbols per streamed block of a trial.  A block's words, their masked copy
 # and its flags (about 580 KB) stay in a core's L2 cache.  8e6 symbols on one
 # thread took 33.2 / 31.1 / 34.7 ms and 36.2 / 34.9 / 38.8 ms at 2^14 / 2^15
@@ -119,25 +117,25 @@ def _budget(n: int, fraction: float) -> int:
     return int(math.floor(n * fraction + 1e-9))
 
 
-def _trial_case1(n, gamma, blocks):
+def _trial_case1(config, blocks):
     # describe the erasure pattern, then the first non-erased values that the
     # action budget cannot cover; node 2 measures the rest
     k = d1_err = 0
     for _, x, erased in blocks:
         k += np.count_nonzero(erased)
         d1_err += np.count_nonzero(x & erased)
-    m = n - k
-    described = max(m - _budget(n, gamma), 0)
-    forward = enumerative_bits(n, k) + described
+    m = config.n - k
+    described = max(m - _budget(config.n, config.gamma), 0)
+    forward = enumerative_bits(config.n, k) + described
     actions = m - described
     return forward, 0, actions, k, d1_err, 0
 
 
-def _trial_case3(n, gamma, blocks):
+def _trial_case3(config, blocks):
     # the budget goes to erased positions first (node 2 must measure those to
     # send them back), and whatever is left spares forward description bits;
     # node 1 misses the values of the erasures past the budget
-    budget = _budget(n, gamma)
+    budget = _budget(config.n, config.gamma)
     k = d1_err = 0
     for _, x, erased in blocks:
         seen = k
@@ -146,19 +144,20 @@ def _trial_case3(n, gamma, blocks):
             skip = max(budget - seen, 0)
             first = np.flatnonzero(erased)[skip] if skip else 0
             d1_err += np.count_nonzero(x[first:] & erased[first:])
-    m = n - k
+    m = config.n - k
     measured = min(k, budget)
     described = max(m - (budget - measured), 0)
-    forward = enumerative_bits(n, k) + described
+    forward = enumerative_bits(config.n, k) + described
     actions = measured + (m - described)
     return forward, measured, actions, k, d1_err, 0
 
 
-def _trial_case2_ts(n, epsilon, gamma, blocks):
+def _trial_case2_ts(config, blocks):
     # segment 1: describe the pattern, act only on erasures, send them back
     # raw; segment 2: act everywhere and price the backward link at its
     # conditional-entropy rate, ceil((n - n1) * empirical erasure share) = k2
-    eta = 0.0 if epsilon == 1.0 else (1.0 - gamma) / (1.0 - epsilon)
+    n, epsilon = config.n, config.epsilon
+    eta = 0.0 if epsilon == 1.0 else (1.0 - config.gamma) / (1.0 - epsilon)
     n1 = _budget(n, eta)
     k1 = k2 = d2_err = 0
     for start, x, erased in blocks:
@@ -171,6 +170,11 @@ def _trial_case2_ts(n, epsilon, gamma, blocks):
     backward = k1 + k2
     actions = k1 + (n - n1)
     return forward, backward, actions, k1 + k2, 0, d2_err + k2
+
+
+# each scheme's trial: (config, blocks) -> the trial's counts
+_TRIALS = {"case1": _trial_case1, "case2_ts": _trial_case2_ts, "case3": _trial_case3}
+SCHEMES = tuple(_TRIALS)
 
 
 def _blocks(config: SimConfig, t: int):
@@ -191,14 +195,7 @@ def _blocks(config: SimConfig, t: int):
 
 
 def _run_trial(config: SimConfig, t: int) -> tuple[int, ...]:
-    blocks = _blocks(config, t)
-    if config.scheme == "case1":
-        counts = _trial_case1(config.n, config.gamma, blocks)
-    elif config.scheme == "case3":
-        counts = _trial_case3(config.n, config.gamma, blocks)
-    else:
-        counts = _trial_case2_ts(config.n, config.epsilon, config.gamma, blocks)
-    return tuple(int(c) for c in counts)
+    return tuple(int(c) for c in _TRIALS[config.scheme](config, _blocks(config, t)))
 
 
 def run_scheme(config: SimConfig) -> SimResult:

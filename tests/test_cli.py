@@ -197,6 +197,17 @@ def test_evaluate_rejects_mismatched_policy(spec_path, tmp_path, capsys):
     assert "z alphabet" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_symbol_with_a_comma(spec_path, tmp_path, capsys):
+    """A document whose blank symbol is "on,now", as a codec that let the
+    comma through would write it, exits 2 with an error line."""
+    spec_path.write_text(spec_path.read_text().replace("phi", "on,now"))
+    policy = _policy_path(tmp_path, "case1", 0.4)
+    assert main(["evaluate", "--spec", str(spec_path), "--policy", str(policy)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "alphabets.y" in captured.err
+
+
 def test_evaluate_reports_third_node_distortion(capsys):
     data = Path(__file__).parent / "data"
     argv = ["evaluate", "--spec", str(data / "spec_erasure_node3.json")]

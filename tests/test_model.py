@@ -145,6 +145,19 @@ def test_loader_rejects_deeply_nested_json(tmp_path):
     assert "nested" in str(err.value)
 
 
+def test_alphabet_rejects_the_codec_key_separator(tmp_path):
+    """The codec joins symbols with commas into its cell keys, so a symbol
+    with a comma is refused before a spec that holds it can be written."""
+    path = tmp_path / "spec.json"
+    with pytest.raises(TableError, match="comma"):
+        save_spec(replace(binary_erasure_spec(0.2), a_alpha=Alphabet("a", ("off", "on,now"))), path)
+    assert not path.exists()
+    doc = spec_to_document(binary_erasure_spec(0.2))
+    doc["alphabets"]["y"] = ["0", "1", "on,now"]
+    with pytest.raises(SpecFormatError, match=r"alphabets\.y"):
+        spec_from_document(doc)
+
+
 def test_metric_needs_finite_column():
     spec = binary_erasure_spec(0.2)
     d1 = spec.d1.copy()

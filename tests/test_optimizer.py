@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from test_acceptance import _criterion5_targets
+from test_region import _random_spec
 from test_search_battery import battery
 from vendingrd import region
 from vendingrd.closed_form import ExampleCase, appendixB_policy, case2_r1, example_rate, hb_case2_r1
-from vendingrd.model import binary_erasure_spec, with_node3_erasure_metric
+from vendingrd.model import ProblemSpec, binary_erasure_spec, with_node3_erasure_metric
+from vendingrd.probability import Alphabet, JointPmf, Kernel
 from vendingrd.region import (
     _BACKTRACK,
     _DRAW_ALPHA,
@@ -197,6 +199,85 @@ def test_start_returns_the_best_of_its_draws_solved_alone():
     assert got.point == want["point"]
     assert np.array_equal(got.policy.forward.table, want["F"])
     assert np.array_equal(got.policy.backward.table, want["B"])
+
+
+def test_judge_and_solver_share_one_bayes_rule():
+    """Y has one letter, so node 1 observes Z and node 2 observes U.  Under
+    the first kernel u0 pools z0 and z1, on which k0 and k1 tie exactly; u1
+    sees z2 alone, whose k0 is the cheapest in finite terms but forbidden;
+    u2 pools z3 and z4, which forbid every k between them, k1 with the least
+    mass.  The second kernel splits u2 into z3's u2 and z4's u3.  The judge
+    takes each observation's cheapest allowed k, +inf where none is left,
+    and the solver prices its cells at the same choices: the earliest of a
+    tie, the cheapest allowed k, else the least forbidden one, whose cells
+    it marks forbidden where they carry forbidden mass."""
+    x, y, a = (Alphabet(name, (name + "0",)) for name in "xya")
+    z = Alphabet("z", tuple(f"z{i}" for i in range(5)))
+    k = Alphabet("k", ("k0", "k1", "k2"))
+    inf = np.inf
+    metric = np.array([[0.25, 0.5, 1.0], [0.5, 0.25, 1.0], [inf, 0.75, 0.5], [0.25, inf, 0.75], [inf, 0.5, inf]])
+    spec = ProblemSpec(
+        mode="indirect", x_alpha=x, z_alpha=z, y_alpha=y, a_alpha=a, xhat1_alpha=k, xhat2_alpha=k,
+        source=JointPmf((("x", x), ("z", z)), np.array([[0.25, 0.25, 0.125, 0.125, 0.25]])),
+        vending=Kernel((a, x, z), (y,), np.ones((1, 1, 5, 1))),
+        cost=np.zeros(1), d1=metric[None, None], d2=metric[None, None],
+    )
+    F = np.zeros((2, 5, 1, 4))
+    for i, u_of_z in enumerate(((0, 0, 1, 2, 2), (0, 0, 1, 2, 3))):
+        F[i, np.arange(5), 0, u_of_z] = 1.0
+    ctx = _EvalContext(spec)
+    pooled, split = ctx.evaluate(F, _identity_backward(spec, 4, 1))
+    # node 1: each z's cheapest allowed k, k0 k1 k2 k0 k1
+    assert pooled.d1 == split.d1 == 0.25 * 0.25 + 0.25 * 0.25 + 0.125 * 0.5 + 0.125 * 0.25 + 0.25 * 0.5
+    # node 2: the tie, then k2, then nothing (pooled) or k0 and k1 (split)
+    assert pooled.d2 == inf
+    assert split.d2 == 0.25 * 0.25 + 0.25 * 0.5 + 0.125 * 0.5 + 0.125 * 0.25 + 0.25 * 0.5
+    costs, forbidden = _Solver(ctx, Targets(d1=1.0, d2=1.0, gamma=0.0))._costs(F[..., None])
+    assert np.array_equal(costs[:, 1], np.broadcast_to([[0.25], [0.25], [0.5], [0.25], [0.5]], (2, 5, 4)))
+    # node 2's choices per u, the empty u3 of the first kernel taking k0
+    choices = ((0, 2, 1, 0), (0, 2, 0, 1))
+    want = np.where(np.isinf(metric[:, choices]), 0.0, metric[:, choices]).transpose(1, 0, 2)
+    assert np.array_equal(costs[:, 2], want)
+    assert np.array_equal(forbidden[:, :, 0, :, 0], np.isinf(metric[:, choices]).transpose(1, 0, 2))
+    assert forbidden[0, 3, 0, 2, 0] and not forbidden[0, 4, 0, 2, 0]
+
+
+def test_solver_prices_the_distortions_the_judge_reports():
+    """With the backward kernel that relays Y, the solver's per-cell costs
+    of each node, averaged over p(z) F, are the d1 and d2 the judge reports
+    for every kernel of a stack, and the judge reports +inf exactly where
+    the stack puts mass on a cell that the node's decoder forbids."""
+    rng = np.random.default_rng(5150)
+    modes = ("direct", "indirect", "heegard-berger")
+    seen = {"finite": 0, "infinite": 0}
+    for trial in range(300):
+        mode = modes[trial % 3]
+        spec = _random_spec(mode, rng, 3 if trial < 150 else 5)
+        nu, nv, n = int(rng.integers(1, 5)), len(spec.y_alpha), int(rng.integers(1, 9))
+        shape = _kernel_shapes(spec, nu, nv)[0]
+        F = rng.dirichlet(np.full(math.prod(shape[1:]), 0.3), size=(n, shape[0]))
+        if trial % 2:
+            # zero the small entries so that forbidden cells can lose all mass
+            F = np.where(F < np.minimum(0.1, F.max(axis=-1, keepdims=True)), 0.0, F)
+            F /= F.sum(axis=-1, keepdims=True)
+        F = F.reshape((n,) + shape)
+        ctx = _EvalContext(spec)
+        points = ctx.evaluate(F, _identity_backward(spec, nu, nv))
+        solver = _Solver(ctx, Targets(d1=1.0, d2=1.0, gamma=1.0))
+        F = F if mode == "heegard-berger" else F[..., None]
+        mass = ctx.pz[:, None, None, None] * F
+        costs = solver._costs(F)[0]
+        for j, (key, (_, bad)) in enumerate(zip(("d1", "d2"), solver._decoders(F)), 1):
+            priced = (mass.reshape(costs[:, j].shape) * costs[:, j]).sum(axis=(1, 2))
+            bad = np.asarray(bad).reshape(np.shape(bad) + (1,) * (F.ndim - np.ndim(bad)))
+            on_forbidden = (mass * bad).reshape(n, -1).sum(axis=1) > 0.0
+            for i, point in enumerate(points):
+                judged = getattr(point, key)
+                assert np.isinf(judged) == on_forbidden[i], (trial, key, i)
+                seen["infinite" if np.isinf(judged) else "finite"] += 1
+                if np.isfinite(judged):
+                    assert abs(priced[i] - judged) <= 1e-12, (trial, key, i, priced[i], judged)
+    assert min(seen.values()) > 100, seen
 
 
 def test_search_makes_one_solve(monkeypatch):

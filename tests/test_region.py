@@ -384,19 +384,20 @@ def test_conditioned_joint_recovers_vending_row():
     assert py[given.alphabet("y").index("1")] == pytest.approx(1.0, abs=1e-12)
 
 
-def _random_spec(mode, rng):
-    """A random finite spec with random alphabet sizes and some +inf metric cells."""
+def _random_spec(mode, rng, largest=3):
+    """A random finite spec with some +inf metric cells, and 2 to ``largest``
+    letters in each alphabet but A, which has 1 to ``largest`` - 1."""
 
     def alpha(name, n):
         return Alphabet(name, tuple(f"{name}{i}" for i in range(n)))
 
     def size():
-        return int(rng.integers(2, 4))
+        return int(rng.integers(2, largest + 1))
 
     x = alpha("x", size())
     z = Alphabet("z", x.symbols) if mode == "direct" else alpha("z", size())
     y = alpha("y", size())
-    a = alpha("a", int(rng.integers(1, 3)))
+    a = alpha("a", int(rng.integers(1, largest)))
     if mode == "direct":
         source = np.diag(rng.dirichlet(np.ones(len(x))))
     else:
