@@ -8,6 +8,7 @@ may contain +inf to forbid a reconstruction outright.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -71,7 +72,7 @@ class ProblemSpec:
         cost = np.asarray(self.cost, dtype=float)
         if cost.shape != (len(self.a_alpha),):
             raise SpecFormatError(f"cost: expected {len(self.a_alpha)} action costs, got shape {cost.shape}")
-        if not np.all(np.isfinite(cost)) or np.any(cost < 0.0):
+        if not 0.0 <= cost.min() <= cost.max() < math.inf:
             raise SpecFormatError("cost: entries must be finite and nonnegative")
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
@@ -96,9 +97,11 @@ class ProblemSpec:
         shape = (len(self.x_alpha), len(self.y_alpha), len(self.z_alpha), len(recon))
         if arr.shape != shape:
             raise SpecFormatError(f"{name}: expected shape {shape}, got {arr.shape}")
-        if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-            raise SpecFormatError(f"{name}: entries must be nonnegative (inf allowed)")
-        if np.any(~np.isfinite(arr).any(axis=3)):
+        # every cell's cheapest reconstruction is finite; NaN fails every comparison
+        cheapest = arr.min(axis=3)
+        if not 0.0 <= cheapest.min() <= cheapest.max() < math.inf:
+            if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+                raise SpecFormatError(f"{name}: entries must be nonnegative (inf allowed)")
             raise SpecFormatError(f"{name}: some (x, y, z) cell has no finite reconstruction")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -187,7 +190,10 @@ def with_node3_erasure_metric(spec: ProblemSpec) -> ProblemSpec:
 # differ: metric cells are a list of [key, value] pairs, and the action costs
 # are written densely, zeros included.  Numbers are decimal strings with 17
 # significant digits so a load/save cycle is bit exact.  The loader never
-# renormalizes: sums must already be within 1e-12.
+# renormalizes: sums must already be within 1e-12.  It maps keys to flat
+# indices through one key table per alphabet tuple, built per table read
+# (per kernel, one for the row keys and one for the cell keys), and fills
+# each table at once.
 
 def _fmt(value: float) -> str:
     if value == np.inf:
@@ -232,31 +238,43 @@ def table_to_cells(table: np.ndarray, alphas: tuple[Alphabet, ...]) -> dict:
     }
 
 
-def table_from_cells(
-    cells: Any,
-    alphas: tuple[Alphabet, ...],
-    where: str,
-    out: np.ndarray | None = None,
-    metric: bool = False,
-) -> np.ndarray:
-    """Fill a dense table (``out``, or a new zero one) from its cells object,
-    or, for a ``metric``, from a list of ``[key, value]`` pairs.  Values are
-    numbers or number strings; +inf only in a metric."""
-    table = np.zeros(tuple(len(al) for al in alphas)) if out is None else out
-    seen = set()
-    for key, raw in _items(cells, where, metric):
-        idx = _key_to_indices(key, alphas, where)
-        if idx in seen:
-            raise SpecFormatError(f"{where}: repeated cell {key!r}")
-        seen.add(idx)
-        try:
-            value = math.nan if isinstance(raw, bool) else float(raw)
-        except (TypeError, ValueError, OverflowError):
-            value = math.nan
-        if not (-math.inf < value < math.inf or (metric and value == math.inf)):
-            raise SpecFormatError(f"{where}[{key!r}]: bad number {raw!r}")
-        table[idx] = value
+def _key_table(alphas: tuple[Alphabet, ...]) -> dict[str, int]:
+    """Each comma-joined key of a table over ``alphas`` -> its flat index."""
+    keys = map(",".join, itertools.product(*(al.symbols for al in alphas)))
+    return dict(zip(keys, itertools.count()))
+
+
+def _fill(table: np.ndarray, groups: Any, alphas: tuple[Alphabet, ...], metric: bool = False) -> np.ndarray:
+    """Write cells into ``table`` at once and return it.  ``groups`` yields
+    (flat offset, where, cells), the cells keyed over ``alphas``; values are
+    numbers or number strings, +inf only in a metric.  A key missing from the
+    key table goes to _key_to_indices, which raises the error naming it."""
+    keys, idx, values = _key_table(alphas), [], []
+    for base, where, cells in groups:
+        seen = set()
+        for key, raw in _items(cells, where, metric):
+            i = keys.get(key) if isinstance(key, str) else None
+            if i is None:
+                _key_to_indices(key, alphas, where)
+            if i in seen:
+                raise SpecFormatError(f"{where}: repeated cell {key!r}")
+            seen.add(i)
+            try:
+                value = math.nan if isinstance(raw, bool) else float(raw)
+            except (TypeError, ValueError, OverflowError):
+                value = math.nan
+            if not (-math.inf < value < math.inf or (metric and value == math.inf)):
+                raise SpecFormatError(f"{where}[{key!r}]: bad number {raw!r}")
+            idx.append(base + i)
+            values.append(value)
+    table.flat[idx] = values
     return table
+
+
+def table_from_cells(cells: Any, alphas: tuple[Alphabet, ...], where: str, metric: bool = False) -> np.ndarray:
+    """A dense table from its cells object, or, for a ``metric``, from a list
+    of ``[key, value]`` pairs; cells left out are zero."""
+    return _fill(np.zeros(tuple(len(al) for al in alphas)), [(0, where, cells)], alphas, metric)
 
 
 def kernel_to_rows(kernel: Kernel) -> dict:
@@ -274,10 +292,16 @@ def kernel_from_rows(
 ) -> Kernel:
     """The inverse of kernel_to_rows.  A missing row stays all zero, which the
     Kernel check then rejects."""
-    table = np.zeros(tuple(len(al) for al in inputs + outputs))
-    for key, cells in _items(rows, where, False):
-        row = table[_key_to_indices(key, inputs, where)]
-        table_from_cells(cells, outputs, f"{where}[{key!r}]", out=row)
+    row_keys, width = _key_table(inputs), math.prod(len(al) for al in outputs)
+
+    def groups():
+        for key, cells in _items(rows, where, False):
+            row = row_keys.get(key) if isinstance(key, str) else None
+            if row is None:
+                _key_to_indices(key, inputs, where)
+            yield row * width, f"{where}[{key!r}]", cells
+
+    table = _fill(np.zeros(tuple(len(al) for al in inputs + outputs)), groups(), outputs)
     try:
         return Kernel(inputs, outputs, table)
     except TableError as exc:

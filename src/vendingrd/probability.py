@@ -51,9 +51,10 @@ def _as_prob_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise TableError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise TableError(f"{what}: non-finite entries")
-    if np.any(arr < 0.0):
+    # only min and max on the valid path: NaN fails every comparison
+    if not 0.0 <= arr.min() <= arr.max() < math.inf:
+        if not np.all(np.isfinite(arr)):
+            raise TableError(f"{what}: non-finite entries")
         raise TableError(f"{what}: negative entries")
     arr.flags.writeable = False
     return arr
@@ -81,7 +82,7 @@ class Kernel:
         out_axes = tuple(range(len(self.inputs), arr.ndim))
         row_sums = np.atleast_1d(arr.sum(axis=out_axes))
         bad = np.abs(row_sums - 1.0) > PROB_TOL
-        if np.any(bad):
+        if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             row = ",".join(al.symbols[i] for al, i in zip(self.inputs, idx))
             raise TableError(f"{name}: row {row!r} sums to {float(row_sums[idx])!r}")
@@ -260,13 +261,13 @@ def check_markov(
     for group, label in ((left, "left"), (mid, "mid"), (right, "right")):
         if not group:
             raise TableError(f"check_markov: empty {label} group")
-    marg = marginalize(joint, tuple(left) + tuple(mid) + tuple(right))
-    order = tuple(marg.names.index(n) for n in tuple(left) + tuple(mid) + tuple(right))
-    arr = marg.table.transpose(order)
-    nl = int(np.prod([len(joint.alphabet(n)) for n in left]))
-    nm = int(np.prod([len(joint.alphabet(n)) for n in mid]))
-    nr = int(np.prod([len(joint.alphabet(n)) for n in right]))
-    plmr = arr.reshape(nl, nm, nr)
+    # the marginal over the three groups, summed as marginalize does
+    axes = _resolve(joint, tuple(left) + tuple(mid) + tuple(right))
+    kept = sorted(set(axes))
+    drop = tuple(i for i in range(joint.table.ndim) if i not in kept)
+    arr = joint.table.sum(axis=drop).transpose([kept.index(ax) for ax in axes])
+    j, k = len(left), len(left) + len(mid)
+    plmr = arr.reshape(math.prod(arr.shape[:j]), math.prod(arr.shape[j:k]), math.prod(arr.shape[k:]))
     pm = plmr.sum(axis=(0, 2))
     plm = plmr.sum(axis=2)
     pmr = plmr.sum(axis=0)

@@ -393,6 +393,9 @@ class _EvalContext:
     @staticmethod
     def _metric_terms(SV, metric):
         fin = np.isfinite(metric)
+        if fin.all():
+            # the same einsum on the same values as below; nothing is forbidden
+            return np.einsum("axzy,xyzk->zayk", SV, metric), None
         c_fin = np.einsum("axzy,xyzk->zayk", SV, np.where(fin, metric, 0.0))
         c_inf = np.einsum("axzy,xyzk->zayk", SV, (~fin).astype(float))
         if not c_inf.any():

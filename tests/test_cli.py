@@ -218,6 +218,64 @@ def test_evaluate_reports_third_node_distortion(capsys):
     assert float(d3[5:]) == pytest.approx(hb_abstention_cost(EPS, 0.6, 0.3, 0.2, 0.9), abs=1e-12)
 
 
+# The whole stdout of `evaluate`, residual digits included, for the three
+# Appendix-B policies at gamma 0.6 and the third-node policy in tests/data.
+EVALUATE_PINNED = {
+    "case1": """\
+r1 = 0.921928094887
+r2 = 4.4408920985e-16
+d1 = 0.1
+d2 = 0
+gamma = 0.6
+feasible = 1
+markov u | z,a | y: residual = 2.78e-17 (ok)
+markov v | a,u,y | x: residual = 1.39e-17 (ok)
+""",
+    "case2": """\
+r1 = 0.170950594455
+r2 = 0.2
+d1 = 0
+d2 = 0.4
+gamma = 0.6
+feasible = 1
+markov u | z,a | y: residual = 2.78e-17 (ok)
+markov v | a,u,y | x: residual = 2.78e-17 (ok)
+""",
+    "case3": """\
+r1 = 1.12192809489
+r2 = 0.2
+d1 = 0
+d2 = 0
+gamma = 0.6
+feasible = 1
+markov u | z,a | y: residual = 2.78e-17 (ok)
+markov v | a,u,y | x: residual = 2.78e-17 (ok)
+""",
+    "node3": """\
+r1 = 0.473425527883
+r2 = 0.2
+d1 = 0
+d2 = 0.4
+d3 = 0.5
+gamma = 0.6
+feasible = 1
+markov u,xhat3 | z,a | y: residual = 1.39e-17 (ok)
+markov v | a,u,y,xhat3 | z: residual = 2.78e-17 (ok)
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_PINNED))
+def test_evaluate_output_is_pinned(case, spec_path, tmp_path, capsys):
+    if case == "node3":
+        data = Path(__file__).parent / "data"
+        spec, policy = data / "spec_erasure_node3.json", data / "policy_node3.json"
+    else:
+        spec, policy = spec_path, _policy_path(tmp_path, case, 0.6)
+    assert main(["evaluate", "--spec", str(spec), "--policy", str(policy)]) == 0
+    assert capsys.readouterr().out == EVALUATE_PINNED[case]
+
+
 def test_evaluate_missing_file(spec_path, tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["evaluate", "--spec", str(spec_path), "--policy", str(missing)]) == 2

@@ -16,7 +16,7 @@ from vendingrd.model import (
     with_node3_erasure_metric,
 )
 from vendingrd.probability import Alphabet, JointPmf, Kernel, TableError, entropy
-from vendingrd.region import load_policy, save_policy
+from vendingrd.region import load_policy, policy_from_document, policy_to_document, save_policy
 
 
 def test_erasure_source_marginals():
@@ -179,6 +179,34 @@ def test_metric_needs_finite_column():
         )
 
 
+@pytest.mark.parametrize(
+    "cell, value, message",
+    [
+        ((0, 0, 0, 0), np.nan, "d1: entries must be nonnegative (inf allowed)"),
+        ((0, 0, 0, 0), -np.inf, "d1: entries must be nonnegative (inf allowed)"),
+        ((0, 0, 0, 1), -1.0, "d1: entries must be nonnegative (inf allowed)"),
+        ((0, 0, 0), np.inf, "d1: some (x, y, z) cell has no finite reconstruction"),
+    ],
+)
+def test_metric_check_names_the_first_failure(cell, value, message):
+    """A NaN or negative entry is reported before a cell with no finite
+    reconstruction, also when the metric has both."""
+    spec = binary_erasure_spec(0.2)
+    d1 = spec.d1.copy()
+    d1[1, 1, 1, :] = np.inf
+    d1[cell] = value
+    with pytest.raises(SpecFormatError) as err:
+        replace(spec, d1=d1)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cost", [(0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf), (-1.0, 1.0)])
+def test_cost_must_be_finite_and_nonnegative(cost):
+    with pytest.raises(SpecFormatError) as err:
+        replace(binary_erasure_spec(0.2), cost=np.array(cost))
+    assert str(err.value) == "cost: entries must be finite and nonnegative"
+
+
 def test_direct_mode_requires_copy_source():
     spec = binary_erasure_spec(0.2)
     doc = spec_to_document(spec)
@@ -241,6 +269,53 @@ def test_loader_rejects_invalid_spec_documents(case):
     with pytest.raises(SpecFormatError) as err:
         spec_from_document(doc)
     assert named in str(err.value)
+
+
+# Each case edits one cell key, row key or value of a valid spec or policy
+# document, or deletes it (None), and gives the whole error message the
+# loader must raise: (which document, path to the field, new value, message).
+LOOKUP_REJECTS = {
+    "wrong_arity_key": (
+        "spec", ("source", "table", "0"), "0.1", "source.table: key '0' is not 2 comma-joined symbols",
+    ),
+    "metric_number_key": ("spec", ("metrics", "d1"), [[0, "1"]], "metrics.d1: key 0 is not 4 comma-joined symbols"),
+    "metric_list_key": (
+        "spec", ("metrics", "d1"), [[["0", "0", "0", "1"], "1"]],
+        "metrics.d1: key ['0', '0', '0', '1'] is not 4 comma-joined symbols",
+    ),
+    "unknown_row_key": ("spec", ("vending", "0,0,q"), {"phi": "1"}, "vending: symbol 'q' not in alphabet 'z'"),
+    "unknown_output_symbol": (
+        "spec", ("vending", "0,0,0"), {"q": "1"}, "vending['0,0,0']: symbol 'q' not in alphabet 'y'",
+    ),
+    "json_true_value": ("spec", ("cost", "1"), True, "cost['1']: bad number True"),
+    "missing_kernel_row": ("spec", ("vending", "0,0,0"), None, "vending: kernel p(y|a,x,z): row '0,0,0' sums to 0.0"),
+    "policy_row_arity": (
+        "policy", ("backward", "0,u0"), {"v0": "1"}, "policy.backward: key '0,u0' is not 3 comma-joined symbols",
+    ),
+    "policy_unknown_output": (
+        "policy", ("forward", "e"), {"0,u9": "1"}, "policy.forward['e']: symbol 'u9' not in alphabet 'u'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_REJECTS))
+def test_loaders_name_bad_keys_and_values_exactly(case):
+    kind, path, value, message = LOOKUP_REJECTS[case]
+    if kind == "spec":
+        doc, load = spec_to_document(binary_erasure_spec(0.2)), spec_from_document
+    else:
+        doc, load = policy_to_document(appendixB_policy(ExampleCase("case1", 0.2, 0.4))), policy_from_document
+    load(doc)
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    if value is None:
+        del field[path[-1]]
+    else:
+        field[path[-1]] = value
+    with pytest.raises(SpecFormatError) as err:
+        load(doc)
+    assert str(err.value) == message
 
 
 # Each case writes a document in which one field repeats a key or a metric

@@ -187,6 +187,52 @@ def test_check_markov_skips_null_mid_values():
     assert ok2 and viol2 < 1e-12
 
 
+def _markov_via_marginalize(joint, left, mid, right, tol=1e-10):
+    """check_markov as written on marginalize and the alphabet sizes."""
+    marg = marginalize(joint, tuple(left) + tuple(mid) + tuple(right))
+    order = tuple(marg.names.index(n) for n in tuple(left) + tuple(mid) + tuple(right))
+    sizes = [int(np.prod([len(joint.alphabet(n)) for n in g])) for g in (left, mid, right)]
+    plmr = marg.table.transpose(order).reshape(sizes)
+    pm = plmr.sum(axis=(0, 2))
+    plm = plmr.sum(axis=2)
+    pmr = plmr.sum(axis=0)
+    keep = pm >= 1e-14
+    pm_safe = np.where(keep, pm, 1.0)
+    resid = np.abs(plmr - plm[:, :, None] * pmr[None, :, :] / pm_safe[None, :, None])
+    worst = float(np.where(keep[None, :, None], resid, 0.0).max())
+    return worst <= tol, worst
+
+
+def test_check_markov_matches_marginalize_formula_bit_for_bit():
+    rng = np.random.default_rng(7)
+    names = ("v0", "v1", "v2", "v3", "v4")
+    chains = [
+        (["v0"], ["v1"], ["v2"]),
+        (["v2"], ["v0", "v3"], ["v1"]),
+        (["v4", "v1"], ["v3"], ["v0"]),
+        (["v3"], ["v2", "v4", "v0"], ["v1"]),
+    ]
+    for trial in range(40):
+        joint = random_joint(rng, sizes=(2, 3, 2, 3, 2))
+        if trial % 2:
+            # zero the mass of some mid values: those conditioning events are skipped
+            table = joint.table.copy()
+            table[:, 1] = 0.0
+            table[..., 0, :] = 0.0
+            joint = JointPmf(joint.variables, table / table.sum())
+        assert joint.names == names
+        for left, mid, right in chains:
+            ok, worst = check_markov(joint, left, mid, right)
+            want_ok, want = _markov_via_marginalize(joint, left, mid, right)
+            assert ok == want_ok and worst.hex() == want.hex()
+
+
+def test_check_markov_rejects_unknown_variables():
+    j = random_joint(np.random.default_rng(3))
+    with pytest.raises(TableError, match="'w' not in joint"):
+        check_markov(j, ["v0"], ["w"], ["v2"])
+
+
 def test_product_joint_builds_factorization():
     pz = np.array([0.2, 0.8])
     k = np.array([[0.9, 0.1], [0.4, 0.6]])
@@ -194,3 +240,19 @@ def test_product_joint_builds_factorization():
     assert np.allclose(j.table, pz[:, None] * k)
     with pytest.raises(TableError):
         product_joint((("z", B),), [(pz, ["w"])])
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([[np.nan, 1.0, 0.0], [-1.0, 2.0, 0.0]], "non-finite entries"),
+        ([[-np.inf, 1.0, 0.0], [1.0, 0.0, 0.0]], "non-finite entries"),
+        ([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], "non-finite entries"),
+        ([[-0.5, 1.5, 0.0], [1.0, 0.0, 0.0]], "negative entries"),
+    ],
+)
+def test_table_checks_name_the_first_failure(cells, message):
+    """Non-finite entries are reported before negative ones."""
+    with pytest.raises(TableError) as err:
+        Kernel((B,), (T,), cells)
+    assert str(err.value) == f"kernel p(t|b): {message}"
